@@ -741,7 +741,7 @@ SortRun run_sft_tcp(int dim, SftShared& sh) {
   const auto& topts = sh.opts.tcp;
   transport::TcpHostEndpoint host(dim, topts);
   transport::TcpParent par(dim, topts.run_deadline_s);
-  host.set_host_poll([&par] { par.poll(); });
+  host.set_host_poll([&par] { par.poll(); }, &par.children());
 
   const auto pins =
       topts.hosts_file.empty()

@@ -322,7 +322,7 @@ SortRun run_snr_tcp(int dim, SnrShared& sh, const SnrOptions& opts) {
   const auto& topts = opts.tcp;
   transport::TcpHostEndpoint host(dim, topts);
   transport::TcpParent par(dim, topts.run_deadline_s);
-  host.set_host_poll([&par] { par.poll(); });
+  host.set_host_poll([&par] { par.poll(); }, &par.children());
   const auto pins =
       topts.hosts_file.empty()
           ? std::vector<std::optional<transport::HostPin>>(n)

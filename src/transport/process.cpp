@@ -1,17 +1,29 @@
 #include "transport/process.h"
 
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 namespace aoft::transport {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// now + seconds, saturating: a deadline too far out to represent never fires.
+Clock::time_point deadline_after(double seconds) {
+  if (!(seconds < 1e9)) return Clock::time_point::max();
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(seconds));
+}
 
 void store_state(NodeSlot& slot, SlotState s) {
   slot.state.store(static_cast<std::uint32_t>(s), std::memory_order_release);
@@ -25,49 +37,135 @@ void copy_detail(char (&dst)[kErrDetailBytes], const std::string& src) {
 
 }  // namespace
 
+void poll_until(std::vector<pollfd>& pfds, Clock::time_point until) {
+  int timeout_ms = -1;
+  if (until != Clock::time_point::max()) {
+    const auto now = Clock::now();
+    if (until <= now) return;
+    const auto ms = std::chrono::ceil<std::chrono::milliseconds>(until - now);
+    timeout_ms = static_cast<int>(
+        std::min<std::chrono::milliseconds::rep>(ms.count(), INT_MAX));
+  }
+  ::poll(pfds.data(), pfds.size(), timeout_ms);
+}
+
+// ---- ChildSet ---------------------------------------------------------------
+
+ChildSet::ChildSet(std::size_t slots, double run_deadline_s)
+    : pids_(slots, 0),
+      pidfds_(slots, -1),
+      deadline_(deadline_after(run_deadline_s)) {}
+
+ChildSet::~ChildSet() { kill_and_reap(); }
+
+pid_t ChildSet::spawn(std::size_t slot, const std::function<int()>& body) {
+  const pid_t pid = ::fork();
+  if (pid < 0)
+    throw std::runtime_error("fork failed for node " + std::to_string(slot));
+  if (pid == 0) {
+    // Never unwind into the parent's frames: this set's destructor would
+    // SIGKILL the siblings from inside the child.
+    int rc = 127;
+    try {
+      rc = body();
+    } catch (...) {
+    }
+    _exit(rc);
+  }
+  const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (fd < 0) {
+    const int err = errno;
+    ::kill(pid, SIGKILL);
+    int wstatus = 0;
+    while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
+    }
+    throw std::runtime_error("pidfd_open failed for node " +
+                             std::to_string(slot) + " (" +
+                             std::strerror(err) + "; Linux >= 5.3 required)");
+  }
+  pids_[slot] = pid;
+  pidfds_[slot] = fd;
+  return pid;
+}
+
+void ChildSet::reap(std::size_t slot, int wstatus, const OnReap& on_reap) {
+  ::close(pidfds_[slot]);
+  pidfds_[slot] = -1;
+  pids_[slot] = 0;
+  if (on_reap) on_reap(slot, wstatus);
+}
+
+void ChildSet::poll(const OnReap& on_reap) {
+  for (std::size_t p = 0; p < pids_.size(); ++p) {
+    if (pids_[p] == 0) continue;
+    int wstatus = 0;
+    if (::waitpid(pids_[p], &wstatus, WNOHANG) == pids_[p])
+      reap(p, wstatus, on_reap);
+  }
+  if (!killed_ && !all_reaped() && Clock::now() > deadline_) kill_all();
+}
+
+void ChildSet::wait(Clock::time_point until) const {
+  std::vector<pollfd> pfds;
+  add_pollfds(pfds);
+  if (pfds.empty()) return;
+  poll_until(pfds, killed_ ? until : std::min(until, deadline_));
+}
+
+void ChildSet::add_pollfds(std::vector<pollfd>& pfds) const {
+  for (const int fd : pidfds_)
+    if (fd >= 0) pfds.push_back({fd, POLLIN, 0});
+}
+
+void ChildSet::kill_all() {
+  killed_ = true;
+  for (const pid_t pid : pids_)
+    if (pid != 0) ::kill(pid, SIGKILL);
+}
+
+void ChildSet::kill_and_reap() {
+  kill_all();
+  for (std::size_t p = 0; p < pids_.size(); ++p) {
+    if (pids_[p] == 0) continue;
+    int wstatus = 0;
+    while (::waitpid(pids_[p], &wstatus, 0) < 0 && errno == EINTR) {
+    }
+    reap(p, wstatus, {});
+  }
+}
+
+bool ChildSet::all_reaped() const {
+  for (const pid_t pid : pids_)
+    if (pid != 0) return false;
+  return true;
+}
+
+// ---- ShmParent --------------------------------------------------------------
+
 ShmParent::ShmParent(ShmSegment& seg)
-    : seg_(seg),
-      pids_(seg.num_nodes(), 0),
-      reaped_(seg.num_nodes(), false),
-      start_(std::chrono::steady_clock::now()) {}
+    : seg_(seg), children_(seg.num_nodes(), seg.header().run_deadline_s) {}
 
 void ShmParent::spawn_fork(
     const std::function<int(cube::NodeId)>& child_main) {
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p) {
-    const pid_t pid = fork();
-    if (pid < 0) {
-      kill_all();
-      throw std::runtime_error("fork failed for node " + std::to_string(p));
-    }
-    if (pid == 0) _exit(child_main(p));
-    pids_[p] = pid;
-    seg_.slot(p).pid = pid;
-  }
+  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
+    seg_.slot(p).pid = children_.spawn(p, [&] { return child_main(p); });
 }
 
 void ShmParent::spawn_exec(const std::string& binary) {
   const std::string seg_arg = "--segment=" + seg_.name();
   for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p) {
     const std::string node_arg = "--node=" + std::to_string(p);
-    const pid_t pid = fork();
-    if (pid < 0) {
-      kill_all();
-      throw std::runtime_error("fork failed for node " + std::to_string(p));
-    }
-    if (pid == 0) {
+    seg_.slot(p).pid = children_.spawn(p, [&] {
       execl(binary.c_str(), binary.c_str(), seg_arg.c_str(), node_arg.c_str(),
             static_cast<char*>(nullptr));
       // Exec failure: no segment state is trustworthy from here, just leave.
       std::perror("execl");
-      _exit(127);
-    }
-    pids_[p] = pid;
-    seg_.slot(p).pid = pid;
+      return 127;
+    });
   }
 }
 
 void ShmParent::reap(cube::NodeId p, int wstatus) {
-  reaped_[p] = true;
   NodeSlot& slot = seg_.slot(p);
   const auto state = static_cast<SlotState>(
       slot.state.load(std::memory_order_acquire));
@@ -87,39 +185,22 @@ void ShmParent::reap(cube::NodeId p, int wstatus) {
 }
 
 void ShmParent::poll() {
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p) {
-    if (reaped_[p] || pids_[p] == 0) continue;
-    int wstatus = 0;
-    const pid_t got = waitpid(pids_[p], &wstatus, WNOHANG);
-    if (got == pids_[p]) reap(p, wstatus);
-  }
-  if (!killed_ && !all_reaped()) {
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    if (elapsed > seg_.header().run_deadline_s) kill_all();
-  }
+  children_.poll([this](std::size_t p, int wstatus) {
+    reap(static_cast<cube::NodeId>(p), wstatus);
+  });
 }
 
 void ShmParent::await_all() {
-  while (!all_reaped()) {
+  for (;;) {
     poll();
-    if (all_reaped()) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    if (children_.all_reaped()) return;
+    children_.wait(ChildSet::Clock::time_point::max());
   }
 }
 
-void ShmParent::kill_all() {
-  killed_ = true;
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
-    if (!reaped_[p] && pids_[p] != 0) kill(pids_[p], SIGKILL);
-}
+void ShmParent::kill_all() { children_.kill_all(); }
 
-bool ShmParent::all_reaped() const {
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
-    if (!reaped_[p] && pids_[p] != 0) return false;
-  return true;
-}
+bool ShmParent::all_reaped() const { return children_.all_reaped(); }
 
 void finish_shm_node(ShmSegment& seg, cube::NodeId p,
                      const sim::Machine& mach) {

@@ -5,9 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <bit>
@@ -55,6 +53,24 @@ sockaddr_in make_addr(const std::string& addr, std::uint16_t port) {
 bool wait_readable(int fd, int timeout_ms) {
   pollfd pf{fd, POLLIN, 0};
   return ::poll(&pf, 1, timeout_ms) > 0;
+}
+
+// Upper bound on one blocked wait of a service loop: heartbeats and sweeps
+// run between waits, so no loop may sleep past their cadence.
+constexpr auto kServiceSlice = std::chrono::milliseconds(20);
+
+// Append one pollfd per open connection: readable when `in` (unless its
+// EOF is already latched: a finished stream would wake every wait at once),
+// writable while it holds unflushed bytes.  Connections with nothing to wait
+// for are left out.
+void add_conn_fds(std::vector<pollfd>& pfds, std::span<const TcpConn> conns,
+                  bool in) {
+  for (const TcpConn& c : conns) {
+    if (c.fd() < 0) continue;
+    const auto events = static_cast<short>((in && !c.eof() ? POLLIN : 0) |
+                                           (c.want_write() ? POLLOUT : 0));
+    if (events != 0) pfds.push_back({c.fd(), events, 0});
+  }
 }
 
 }  // namespace
@@ -347,6 +363,7 @@ void TcpNodeEndpoint::connect_peers() {
   }
 
   std::vector<TcpConn> anon;
+  std::vector<pollfd> pfds;
   const auto deadline =
       now + std::chrono::duration_cast<Clock::duration>(
                 std::chrono::duration<double>(cfg_.recv_timeout_s));
@@ -354,7 +371,6 @@ void TcpNodeEndpoint::connect_peers() {
     if (Clock::now() >= deadline)
       throw std::runtime_error("tcp: peer mesh accept timed out");
     while (auto c = listener_.accept_one()) anon.push_back(std::move(*c));
-    bool progressed = false;
     for (auto& c : anon) {
       if (!c.open()) continue;
       c.read_some();
@@ -369,11 +385,15 @@ void TcpNodeEndpoint::connect_peers() {
           throw std::runtime_error("tcp: peer hello from non-neighbor");
         neighbor(q) = std::move(c);
         --expect_accept;
-        progressed = true;
+      } else if (c.eof() || c.reader().malformed()) {
+        c.close_fd();  // gone before its HELLO: nothing left to wait for
       }
     }
     std::erase_if(anon, [](const TcpConn& c) { return c.fd() < 0; });
-    if (!progressed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (expect_accept == 0) break;
+    pfds.assign({{listener_.fd(), POLLIN, 0}});
+    add_conn_fds(pfds, anon, true);
+    poll_until(pfds, deadline);
   }
   listener_.close_fd();
   // kRunning, but each peer's silence rule stays un-armed until it is first
@@ -490,17 +510,11 @@ bool TcpNodeEndpoint::wait_activity(std::span<const cube::NodeId> peers) {
       std::chrono::duration<double>(now - wait_start_).count();
   if (waited > cfg_.recv_timeout_s) return false;
 
-  // Sleep on the sockets until data, a heartbeat deadline, or a short nap.
+  // Sleep on the sockets until data, writability or the next service tick.
   std::vector<pollfd> pfds;
-  const auto add = [&](const TcpConn& c) {
-    if (c.fd() >= 0)
-      pfds.push_back(
-          {c.fd(),
-           static_cast<short>(POLLIN | (c.want_write() ? POLLOUT : 0)), 0});
-  };
-  add(parent_);
-  for (const auto& c : peers_) add(c);
-  ::poll(pfds.data(), pfds.size(), 20);
+  add_conn_fds(pfds, {&parent_, 1}, true);
+  add_conn_fds(pfds, peers_, true);
+  poll_until(pfds, Clock::now() + kServiceSlice);
   return true;
 }
 
@@ -528,11 +542,15 @@ void TcpNodeEndpoint::finish(SlotState state, const FinishHead& head,
   // Flush everything still buffered (final exchange traffic included) before
   // closing; a peer that will not drain us is itself dead, so bound the try.
   const auto deadline = Clock::now() + std::chrono::seconds(5);
+  std::vector<pollfd> pfds;
   for (;;) {
     bool done = parent_.flush();
     for (auto& c : peers_) done = c.flush() && done;
     if (done || Clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    pfds.clear();
+    add_conn_fds(pfds, {&parent_, 1}, false);
+    add_conn_fds(pfds, peers_, false);
+    poll_until(pfds, deadline);
   }
   parent_.close_fd();
   for (auto& c : peers_) c.close_fd();
@@ -558,6 +576,7 @@ void TcpHostEndpoint::rendezvous(double setup_timeout_s) {
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(setup_timeout_s));
   cube::NodeId helloed = 0;
+  std::vector<pollfd> pfds;
   while (helloed < n_) {
     if (Clock::now() >= deadline)
       throw std::runtime_error("tcp: rendezvous timed out with " +
@@ -594,7 +613,11 @@ void TcpHostEndpoint::rendezvous(double setup_timeout_s) {
       }
     }
     std::erase_if(anonymous_, [](const TcpConn& c) { return c.fd() < 0; });
-    if (helloed < n_) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (helloed == n_) break;
+    pfds.assign({{listener_.fd(), POLLIN, 0}});
+    add_conn_fds(pfds, anonymous_, true);
+    if (children_) children_->add_pollfds(pfds);
+    poll_until(pfds, deadline);
   }
 }
 
@@ -727,29 +750,22 @@ bool TcpHostEndpoint::wait_activity(std::span<const cube::NodeId>) {
   if (service()) return true;
   if (watch_.all_terminal() && inbox_.empty()) return false;
 
+  // No open connection means every node is dead, so the return above fired.
   std::vector<pollfd> pfds;
-  for (const auto& c : conns_)
-    if (c.fd() >= 0)
-      pfds.push_back(
-          {c.fd(),
-           static_cast<short>(POLLIN | (c.want_write() ? POLLOUT : 0)), 0});
-  if (!pfds.empty()) ::poll(pfds.data(), pfds.size(), 20);
-  else std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  add_conn_fds(pfds, conns_, true);
+  poll_until(pfds, Clock::now() + kServiceSlice);
   return true;
 }
 
 void TcpHostEndpoint::await_all() {
+  std::vector<pollfd> pfds;
   while (!watch_.all_terminal()) {
     if (host_poll_) host_poll_();
     service();
-    std::vector<pollfd> pfds;
-    for (const auto& c : conns_)
-      if (c.fd() >= 0)
-        pfds.push_back(
-            {c.fd(),
-             static_cast<short>(POLLIN | (c.want_write() ? POLLOUT : 0)), 0});
-    if (!pfds.empty()) ::poll(pfds.data(), pfds.size(), 20);
-    else std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (watch_.all_terminal()) break;
+    pfds.clear();
+    add_conn_fds(pfds, conns_, true);
+    poll_until(pfds, Clock::now() + kServiceSlice);
   }
   service();  // collect any FINISH that raced the final sweep
 }
@@ -771,20 +787,13 @@ void TcpHostEndpoint::send_from_host(cube::NodeId to, const sim::Message& m) {
 // ---- TcpParent --------------------------------------------------------------
 
 TcpParent::TcpParent(int dim, double run_deadline_s)
-    : pids_(cube::NodeId{1} << dim, 0),
-      reaped_(cube::NodeId{1} << dim, true),
-      start_(Clock::now()),
-      deadline_s_(run_deadline_s) {}
+    : children_(cube::NodeId{1} << dim, run_deadline_s) {}
 
 void TcpParent::spawn_fork(const std::function<int(cube::NodeId)>& child_main,
                            const std::vector<std::optional<HostPin>>& pins) {
-  for (cube::NodeId p = 0; p < pids_.size(); ++p) {
+  for (cube::NodeId p = 0; p < children_.size(); ++p) {
     if (p < pins.size() && pins[p]) continue;  // external node
-    const pid_t pid = ::fork();
-    if (pid < 0) die("fork");
-    if (pid == 0) _exit(child_main(p));
-    pids_[p] = pid;
-    reaped_[p] = false;
+    children_.spawn(p, [&] { return child_main(p); });
   }
 }
 
@@ -794,44 +803,20 @@ void TcpParent::spawn_exec(const std::string& binary,
                            const std::vector<std::optional<HostPin>>& pins) {
   const std::string connect_arg =
       "--connect=" + parent_addr + ":" + std::to_string(parent_port);
-  for (cube::NodeId p = 0; p < pids_.size(); ++p) {
+  for (cube::NodeId p = 0; p < children_.size(); ++p) {
     if (p < pins.size() && pins[p]) continue;
     const std::string node_arg = "--node=" + std::to_string(p);
-    const pid_t pid = ::fork();
-    if (pid < 0) die("fork");
-    if (pid == 0) {
+    children_.spawn(p, [&] {
       ::execl(binary.c_str(), binary.c_str(), connect_arg.c_str(),
               node_arg.c_str(), static_cast<char*>(nullptr));
-      _exit(127);
-    }
-    pids_[p] = pid;
-    reaped_[p] = false;
+      return 127;
+    });
   }
 }
 
-void TcpParent::poll() {
-  for (std::size_t p = 0; p < pids_.size(); ++p) {
-    if (reaped_[p]) continue;
-    int status = 0;
-    if (::waitpid(pids_[p], &status, WNOHANG) == pids_[p]) reaped_[p] = true;
-  }
-  if (!killed_) {
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start_).count();
-    if (elapsed > deadline_s_) kill_all();
-  }
-}
+void TcpParent::poll() { children_.poll(); }
 
-void TcpParent::kill_all() {
-  killed_ = true;
-  for (std::size_t p = 0; p < pids_.size(); ++p)
-    if (!reaped_[p]) ::kill(pids_[p], SIGKILL);
-  for (std::size_t p = 0; p < pids_.size(); ++p) {
-    if (reaped_[p]) continue;
-    int status = 0;
-    if (::waitpid(pids_[p], &status, 0) == pids_[p]) reaped_[p] = true;
-  }
-}
+void TcpParent::kill_all() { children_.kill_and_reap(); }
 
 void TcpParent::await_exits() {
   // Verdicts are already in (the host link saw every node terminal); give
@@ -839,12 +824,10 @@ void TcpParent::await_exits() {
   // wedged (SIGSTOPped) child never exits on its own.
   const auto grace = Clock::now() + std::chrono::milliseconds(500);
   for (;;) {
-    poll();
-    bool all = true;
-    for (std::size_t p = 0; p < pids_.size(); ++p) all = all && reaped_[p];
-    if (all) return;
+    children_.poll();
+    if (children_.all_reaped()) return;
     if (Clock::now() >= grace) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    children_.wait(grace);
   }
   kill_all();
 }

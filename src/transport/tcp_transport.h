@@ -33,6 +33,7 @@
 #include "transport/backend.h"
 #include "transport/frame.h"
 #include "transport/peer_watch.h"
+#include "transport/process.h"
 
 namespace aoft::transport {
 
@@ -220,12 +221,19 @@ class TcpHostEndpoint final : public sim::RemoteLink {
 
   // Invoked on every wait iteration so the parent process manager can reap
   // zombies and enforce the run deadline (mirrors ShmTransport's hook).
-  void set_host_poll(std::function<void()> poll) {
+  // When `poll` reaps `children`, pass them too: the rendezvous then also
+  // wakes on their pidfds, so a child that dies before HELLO is reaped at
+  // once rather than at the next connection event.
+  void set_host_poll(std::function<void()> poll,
+                     const ChildSet* children = nullptr) {
     host_poll_ = std::move(poll);
+    children_ = children;
   }
 
   // Accept connections until every node has HELLOed (bounded by
-  // setup_timeout_s; throws on expiry).  Builds the authoritative port map.
+  // setup_timeout_s; throws on expiry), sleeping in poll() on the listener,
+  // the not-yet-HELLOed connections and the children's pidfds.  Builds the
+  // authoritative port map.
   void rendezvous(double setup_timeout_s);
 
   // Send each node its CONFIG: `head` plus faults/port-map/input/llbs tail
@@ -275,6 +283,7 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   std::deque<Pending> inbox_;
   std::vector<unsigned char> scratch_;
   std::function<void()> host_poll_;
+  const ChildSet* children_ = nullptr;
 
   bool waiting_ = false;
   std::chrono::steady_clock::time_point wait_start_{};
@@ -284,9 +293,10 @@ class TcpHostEndpoint final : public sim::RemoteLink {
 
 // Child-process lifecycle for locally spawned tcp nodes.  Unlike ShmParent,
 // this is NOT the death-detection authority — sockets are (EOF/heartbeat in
-// the endpoints above).  waitpid here only reaps zombies and enforces the
+// the endpoints above).  Reaping here only collects zombies and enforces the
 // run deadline; await_exits SIGKILLs stragglers (a wedged child never exits
-// on its own) once the host link has its verdicts.
+// on its own) once the host link has its verdicts.  Destruction SIGKILLs
+// and reaps whatever is left, so a throw mid-run leaks no child.
 class TcpParent {
  public:
   TcpParent(int dim, double run_deadline_s);
@@ -308,14 +318,13 @@ class TcpParent {
 
   // SIGKILL every still-live child, then reap them all.
   void kill_all();
+  // Wait on the children's pidfds for up to a 500 ms grace, then kill_all.
   void await_exits();
 
+  const ChildSet& children() const { return children_; }
+
  private:
-  std::vector<std::int32_t> pids_;
-  std::vector<bool> reaped_;
-  std::chrono::steady_clock::time_point start_;
-  double deadline_s_;
-  bool killed_ = false;
+  ChildSet children_;
 };
 
 }  // namespace aoft::transport

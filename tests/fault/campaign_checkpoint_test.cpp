@@ -10,6 +10,7 @@
 #include "fault/campaign_store.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -34,7 +35,9 @@ CampaignConfig small_config() {
 // A fresh temp path: any stale artifact from a previous run is removed so a
 // test never accidentally "resumes" from it.
 std::string fresh_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "aoft_ckpt_" + name;
+  // Per process: ctest -j runs tests that share a name here concurrently.
+  const std::string path = ::testing::TempDir() + "aoft_ckpt_" +
+                           std::to_string(::getpid()) + "_" + name;
   std::remove(path.c_str());
   return path;
 }

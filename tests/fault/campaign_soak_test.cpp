@@ -10,6 +10,7 @@
 #include "fault/campaign.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <span>
@@ -35,7 +36,9 @@ CampaignConfig soak_config(InjectionMode mode, int jobs = 1) {
 }
 
 std::string fresh_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "aoft_soak_" + name;
+  // Per process: ctest -j runs tests that share a name here concurrently.
+  const std::string path = ::testing::TempDir() + "aoft_soak_" +
+                           std::to_string(::getpid()) + "_" + name;
   std::remove(path.c_str());
   return path;
 }

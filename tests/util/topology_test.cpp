@@ -1,6 +1,7 @@
 #include "util/topology.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -115,7 +116,10 @@ TEST(HostTopologyTest, NodeOfAndHasCpu) {
 class SysfsFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "aoft_topology_fixture";
+    // Per process: ctest -j runs each of these tests in its own process,
+    // and a shared tree would be torn down under a concurrent test.
+    root_ = fs::path(::testing::TempDir()) /
+            ("aoft_topology_fixture_" + std::to_string(::getpid()));
     fs::remove_all(root_);
     write_node(0, "0-1");
     write_node(1, "2-3");
