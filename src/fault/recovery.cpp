@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/supervisor.h"
-
 namespace aoft::fault {
 
 std::vector<cube::NodeId> persistent_suspects(std::span<const Diagnosis> diagnoses) {
@@ -25,24 +23,6 @@ std::vector<cube::NodeId> persistent_suspects(std::span<const Diagnosis> diagnos
     if (common.empty()) break;
   }
   return any ? common : std::vector<cube::NodeId>{};
-}
-
-std::vector<cube::NodeId> persistent_suspects(const RecoveryRun& run) {
-  return persistent_suspects(run.diagnoses);
-}
-
-RecoveryRun run_sft_with_recovery(int dim, std::span<const sort::Key> input,
-                                  const sort::SftOptions& base,
-                                  const InterceptorFactory& interceptors,
-                                  int max_attempts) {
-  SupervisedRun sup = run_supervised_sort(
-      dim, input, base, RecoveryPolicy::full_restart(max_attempts), interceptors);
-  RecoveryRun out;
-  out.last = std::move(sup.last);
-  out.attempts = sup.attempts;
-  out.recovered = sup.recovered;
-  out.diagnoses = std::move(sup.diagnoses);
-  return out;
 }
 
 }  // namespace aoft::fault

@@ -3,8 +3,10 @@
 // The paper's contract ends at fail-stop: "the result of the calculation is
 // either completely correct, or the entire system halts with an error
 // condition" (§4), with diagnostics shipped to the host "so that appropriate
-// actions may be taken" (§1).  This module implements the most basic such
-// action: the host re-runs the sort, diagnosing every failed attempt.
+// actions may be taken" (§1).  The most basic such action is a retry: the
+// host re-runs the sort, diagnosing every failed attempt
+// (fault/supervisor.h, RecoveryPolicy::full_restart).  This header holds the
+// pieces every retry policy shares.
 //
 //   * A *transient* fault (a glitched message, a link that recovers) does
 //     not reappear: the retry completes correctly and the run counts as
@@ -31,13 +33,6 @@ namespace aoft::fault {
 // links).  The returned object must stay alive for the whole attempt.
 using InterceptorFactory = std::function<sim::LinkInterceptor*(int attempt)>;
 
-struct RecoveryRun {
-  sort::SortRun last;                // the final attempt's run
-  int attempts = 0;                  // total attempts executed
-  bool recovered = false;            // a retry succeeded after >= 1 fail-stop
-  std::vector<Diagnosis> diagnoses;  // one per failed attempt
-};
-
 // Suspects implicated by every *conclusive* failed attempt — the
 // permanent-fault candidates.  An inconclusive diagnosis (no suspects at
 // all, e.g. the fail-stop cascaded before localization could pin anyone)
@@ -47,17 +42,5 @@ struct RecoveryRun {
 // its stable endpoint pair.  Empty when no conclusive diagnosis exists or no
 // suspect recurs through all of them.
 std::vector<cube::NodeId> persistent_suspects(std::span<const Diagnosis> diagnoses);
-std::vector<cube::NodeId> persistent_suspects(const RecoveryRun& run);
-
-// Run S_FT up to `max_attempts` times.  `base` supplies everything except
-// the interceptor (taken from the factory per attempt); node faults in
-// `base` model permanent processor faults and apply to every attempt.
-// Since the recovery-supervisor PR this is a compatibility shim over
-// fault/supervisor.h with RecoveryPolicy::full_restart(max_attempts): blind
-// full restarts, no reconfiguration, no host fallback.
-RecoveryRun run_sft_with_recovery(int dim, std::span<const sort::Key> input,
-                                  const sort::SftOptions& base,
-                                  const InterceptorFactory& interceptors,
-                                  int max_attempts = 2);
 
 }  // namespace aoft::fault

@@ -76,8 +76,8 @@ struct RecoveryPolicy {
   double backoff_ticks = 0.0;
   double backoff_factor = 2.0;
 
-  // The pre-supervisor semantics of run_sft_with_recovery: blind full
-  // restarts, no reconfiguration, no fallback — fail-stop after the budget.
+  // Plain retry: blind full restarts, no reconfiguration, no fallback —
+  // fail-stop after the budget.
   static RecoveryPolicy full_restart(int max_attempts = 2);
 };
 

@@ -25,6 +25,8 @@ const char* to_string(ErrorSource s) {
 
 const cube::Topology& Ctx::topo() const { return machine_->topo_; }
 
+bool Ctx::remote() const { return machine_->remote(); }
+
 KeyPool& Ctx::pool() { return machine_->pool_; }
 
 void Ctx::send(cube::NodeId to, Message m) {

@@ -112,6 +112,10 @@ class Ctx {
   // The machine's key pool; protocols build pooled Messages/KeyBufs from it.
   KeyPool& pool();
 
+  // True when this node runs in its own OS process, its machine attached to
+  // a RemoteLink — where process-level faults (kill, wedge) are real.
+  bool remote() const;
+
   const NodeStats& stats() const { return stats_; }
 
  private:

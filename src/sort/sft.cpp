@@ -9,12 +9,9 @@
 #include "hypercube/masks.h"
 #include "obs/sink.h"
 #include "sort/blockops.h"
+#include "sort/fleet.h"
 #include "sort/predicates.h"
-#include "sort/shm_detail.h"
-#include "sort/tcp_detail.h"
 #include "transport/process.h"
-#include "transport/shm_transport.h"
-#include "transport/tcp_transport.h"
 
 namespace aoft::sort {
 
@@ -39,7 +36,6 @@ struct SftShared {
   std::span<const Key> input;
   std::vector<Key> output;
   std::vector<CkptUpload> uploads;
-  bool in_child = false;  // shm backend: this copy runs inside a node process
 
   const fault::NodeFault* fault_for(cube::NodeId p) const {
     auto it = opts.node_faults.find(p);
@@ -273,8 +269,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
 
     for (int j = i; j >= 0; --j) {
       if (st.fault && st.fault->halt_at && fault::reached(*st.fault->halt_at, i, j)) {
-        if (st.fault->kill_process && sh.in_child) transport::kill_self();
-        if (st.fault->wedge_process && sh.in_child) transport::wedge_self();
+        if (st.fault->kill_process && ctx.remote()) transport::kill_self();
+        if (st.fault->wedge_process && ctx.remote()) transport::wedge_self();
         write_out();
         co_return;  // fail-silent; peers' watchdogs flag the absence
       }
@@ -438,8 +434,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
   const double final_t0 = ctx.clock();
   for (int j = fi; j >= 0; --j) {
     if (st.fault && st.fault->halt_at && fault::reached(*st.fault->halt_at, n, j)) {
-      if (st.fault->kill_process && sh.in_child) transport::kill_self();
-      if (st.fault->wedge_process && sh.in_child) transport::wedge_self();
+      if (st.fault->kill_process && ctx.remote()) transport::kill_self();
+      if (st.fault->wedge_process && ctx.remote()) transport::wedge_self();
       write_out();
       co_return;
     }
@@ -582,51 +578,15 @@ std::vector<StageCheckpoint> certify_checkpoints(const SftShared& sh) {
   return out;
 }
 
-// ---- shared-memory backend --------------------------------------------------
+// ---- process fabrics (sort/fleet.h) -----------------------------------------
 
-// The body every child process runs, fork- or exec-spawned: a one-node
-// machine wired to the segment, the same sft_node program, results published
-// into the node's slot.  kDone is stored only after the output block is
-// copied, so a kDone slot always implies a complete output region.
-int sft_child_body(transport::ShmSegment& seg, cube::NodeId p, SftShared& sh) {
-  transport::NodeSlot& slot = seg.slot(p);
-  try {
-    sim::Machine mach(cube::Topology{sh.dim}, sh.opts.cost);
-    transport::ShmTransport link(seg, static_cast<std::int32_t>(p));
-    mach.attach_remote(&link, static_cast<std::int32_t>(p));
-    mach.set_interceptor(sh.opts.interceptor);
-    mach.record_link_events(sh.opts.record_link_events);
-    slot.state.store(static_cast<std::uint32_t>(transport::SlotState::kRunning),
-                     std::memory_order_release);
-    mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); });
-    transport::finish_shm_node(seg, p, mach);
-    const std::size_t m = sh.m;
-    std::copy(sh.output.begin() + static_cast<std::ptrdiff_t>(p * m),
-              sh.output.begin() + static_cast<std::ptrdiff_t>((p + 1) * m),
-              seg.output().begin() + static_cast<std::ptrdiff_t>(p * m));
-    slot.state.store(static_cast<std::uint32_t>(transport::SlotState::kDone),
-                     std::memory_order_release);
-    return 0;
-  } catch (const std::exception& e) {
-    return shm_detail::fail_child(seg, p, e.what());
-  }
-}
-
-SortRun run_sft_shm(int dim, SftShared& sh) {
-  if (sh.opts.machine != nullptr)
-    throw std::invalid_argument(
-        "SftOptions::machine is a single-process affordance; not available "
-        "on the shm backend");
-  if (sh.opts.observer)
-    throw std::invalid_argument(
-        "SftOptions::observer runs in the node's process on the shm backend; "
-        "its snapshots cannot reach the caller — use the sim backend");
-
-  transport::ShmSegment::Config cfg;
-  cfg.dim = dim;
+// Options -> JobConfig: what every node process is told about the job.
+transport::JobConfig job_config(const SftShared& sh) {
+  transport::JobConfig cfg;
+  cfg.dim = static_cast<std::uint32_t>(sh.dim);
   cfg.block = sh.m;
-  cfg.algo = 0;
   cfg.start_stage = sh.start_stage;
+  cfg.algo = 0;
   cfg.checkpoint = sh.opts.checkpoint;
   cfg.record_events = sh.opts.record_link_events;
   cfg.with_resume = sh.start_stage > 0;
@@ -635,201 +595,60 @@ SortRun run_sft_shm(int dim, SftShared& sh) {
   cfg.check_consistency = sh.opts.check_consistency;
   cfg.check_exchange = sh.opts.check_exchange;
   cfg.cost = sh.opts.cost;
-  cfg.recv_timeout_s = sh.opts.shm.recv_timeout_s;
-  cfg.run_deadline_s = sh.opts.shm.run_deadline_s;
-  auto seg = transport::ShmSegment::create(cfg);
-
-  std::copy(sh.input.begin(), sh.input.end(), seg.input().begin());
-  if (sh.start_stage > 0)
-    std::copy(sh.resume_llbs.begin(), sh.resume_llbs.end(),
-              seg.llbs().begin());
-  shm_detail::fill_wire_faults(seg, sh.opts.node_faults);
-
-  if (auto* tr = obs::tracer())
-    tr->instant(obs::Ev::kRunBegin, obs::kGlobal, sh.start_stage, -1, 0.0, dim,
-                static_cast<std::int64_t>(sh.m));
-
-  transport::ShmParent par(seg);
-  sh.in_child = true;  // fork children inherit the flag copy-on-write
-  if (sh.opts.shm.node_binary.empty())
-    par.spawn_fork(
-        [&](cube::NodeId p) { return sft_child_body(seg, p, sh); });
-  else
-    par.spawn_exec(sh.opts.shm.node_binary);
-  sh.in_child = false;
-
-  SortRun run;
-  if (sh.opts.checkpoint) {
-    // The parent is the reliable host: same collector coroutine as the sim,
-    // pumping the up-rings, reaping children from the idle path.
-    sim::Machine hostm(cube::Topology{dim}, sh.opts.cost);
-    transport::ShmTransport hlink(seg, transport::kHostRole);
-    hlink.set_host_poll([&par] { par.poll(); });
-    hostm.attach_remote(&hlink, transport::kHostRole);
-    hostm.run_remote_host(
-        [&sh](sim::HostCtx& host) { return ckpt_collector(host, sh); });
-    par.await_all();
-    run.summary.host_comm = hostm.host_stats().comm_ticks;
-    run.summary.host_comp = hostm.host_stats().comp_ticks;
-    run.summary.elapsed = hostm.host_stats().clock;
-  } else {
-    par.await_all();
-  }
-
-  shm_detail::collect_shm_results(seg, run, sh.opts.record_link_events);
-  if (sh.opts.checkpoint) run.checkpoints = certify_checkpoints(sh);
-  if (auto* tr = obs::tracer()) {
-    for (const auto& ck : run.checkpoints)
-      tr->instant(obs::Ev::kCkptCertify, obs::kHostNode, ck.stage, -1,
-                  run.summary.elapsed, ck.certified ? 1 : 0,
-                  ck.windows_agreed);
-    tr->instant(obs::Ev::kRunEnd, obs::kGlobal, -1, -1, run.summary.elapsed,
-                static_cast<std::int64_t>(run.errors.size()),
-                run.summary.watchdog_rounds);
-  }
-  return run;
+  return cfg;
 }
 
-// ---- socket backend ---------------------------------------------------------
-
-// The body every tcp node process runs, fork- or exec-spawned: mesh up, run
-// the same sft_node program on a one-node machine wired to the endpoint,
-// publish results via the FINISH frame.  Fork children use the inherited
-// SftShared (keeping in-process interceptors working, as under shm); exec
-// children arrive here through detail::run_sft_tcp_node with one rebuilt
-// from the endpoint's CONFIG.
-int sft_tcp_child_body(transport::TcpNodeEndpoint& ep, cube::NodeId p,
-                       SftShared& sh) {
-  try {
-    ep.connect_peers();
-    sim::Machine mach(cube::Topology{sh.dim}, sh.opts.cost);
-    mach.attach_remote(&ep, static_cast<std::int32_t>(p));
-    mach.set_interceptor(sh.opts.interceptor);
-    mach.record_link_events(sh.opts.record_link_events);
-    mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); });
-    const std::size_t m = sh.m;
-    tcp_detail::finish_tcp_node(
-        ep, p, mach, std::span<const Key>(sh.output).subspan(p * m, m),
-        sh.opts.record_link_events);
-    return 0;
-  } catch (const std::exception& e) {
-    return tcp_detail::fail_tcp_node(ep, p, e.what());
-  }
+// JobConfig -> Options: a node process rebuilds the run's state from the job
+// its fabric delivered.
+SftShared shared_of(const fleet::NodeJob& job) {
+  SftShared sh;
+  sh.dim = static_cast<int>(job.cfg.dim);
+  sh.m = static_cast<std::size_t>(job.cfg.block);
+  sh.start_stage = job.cfg.start_stage;
+  sh.opts.block = sh.m;
+  sh.opts.cost = job.cfg.cost;
+  sh.opts.check_progress = job.cfg.check_progress != 0;
+  sh.opts.check_feasibility = job.cfg.check_feasibility != 0;
+  sh.opts.check_consistency = job.cfg.check_consistency != 0;
+  sh.opts.check_exchange = job.cfg.check_exchange != 0;
+  sh.opts.checkpoint = job.cfg.checkpoint != 0;
+  sh.opts.record_link_events = job.cfg.record_events != 0;
+  sh.opts.node_faults = job.faults;
+  sh.input = job.input;
+  sh.resume_llbs = job.llbs;
+  sh.output.assign(sh.input.size(), 0);
+  return sh;
 }
 
-SortRun run_sft_tcp(int dim, SftShared& sh) {
-  if (sh.opts.machine != nullptr)
-    throw std::invalid_argument(
-        "SftOptions::machine is a single-process affordance; not available "
-        "on the tcp backend");
-  if (sh.opts.observer)
-    throw std::invalid_argument(
-        "SftOptions::observer runs in the node's process on the tcp backend; "
-        "its snapshots cannot reach the caller — use the sim backend");
-  if (dim > transport::kMaxProcessDim)
-    throw std::invalid_argument("tcp backend supports dim <= " +
-                                std::to_string(transport::kMaxProcessDim));
-  if (const std::size_t cb =
-          transport::config_frame_bytes(dim, sh.m, sh.start_stage > 0);
-      cb > transport::kMaxFrameBytes)
-    throw std::invalid_argument(
-        "tcp: CONFIG for this job would be " + std::to_string(cb) +
-        " bytes, beyond the " + std::to_string(transport::kMaxFrameBytes) +
-        "-byte frame limit — shrink block or dim for the tcp backend");
-
-  const cube::NodeId n = cube::NodeId{1} << dim;
-  const auto& topts = sh.opts.tcp;
-  transport::TcpHostEndpoint host(dim, topts);
-  transport::TcpParent par(dim, topts.run_deadline_s);
-  host.set_host_poll([&par] { par.poll(); }, &par.children());
-
-  const auto pins =
-      topts.hosts_file.empty()
-          ? std::vector<std::optional<transport::HostPin>>(n)
-          : transport::parse_hosts_file(topts.hosts_file,
-                                        static_cast<int>(n));
-
-  if (auto* tr = obs::tracer())
-    tr->instant(obs::Ev::kRunBegin, obs::kGlobal, sh.start_stage, -1, 0.0, dim,
-                static_cast<std::int64_t>(sh.m));
-
-  const std::string parent_addr = host.addr();
-  const std::uint16_t parent_port = host.port();
-  sh.in_child = true;  // fork children inherit the flag copy-on-write
-  if (topts.node_binary.empty()) {
-    const double setup_s = topts.run_deadline_s;
-    par.spawn_fork(
-        [&, setup_s](cube::NodeId p) {
-          try {
-            transport::TcpNodeEndpoint ep(
-                p, parent_addr, parent_port,
-                pins[p] ? pins[p]->addr : std::string("127.0.0.1"),
-                pins[p] ? pins[p]->port : std::uint16_t{0}, setup_s);
-            return sft_tcp_child_body(ep, p, sh);
-          } catch (const std::exception&) {
-            return 1;  // setup failed before the endpoint could FINISH
-          }
-        },
-        pins);
-  } else {
-    par.spawn_exec(topts.node_binary, parent_addr, parent_port, pins);
-  }
-  sh.in_child = false;
-
-  host.rendezvous(topts.run_deadline_s);
-
-  transport::TcpConfigHead head;
-  head.block = sh.m;
-  head.start_stage = sh.start_stage;
-  head.algo = 0;
-  head.checkpoint = sh.opts.checkpoint;
-  head.record_events = sh.opts.record_link_events;
-  head.with_resume = sh.start_stage > 0;
-  head.check_progress = sh.opts.check_progress;
-  head.check_feasibility = sh.opts.check_feasibility;
-  head.check_consistency = sh.opts.check_consistency;
-  head.check_exchange = sh.opts.check_exchange;
-  head.cost = sh.opts.cost;
-  const auto wire_faults = tcp_detail::wire_faults_of(sh.opts.node_faults, n);
-  host.broadcast_config(head, wire_faults, sh.input,
-                        sh.start_stage > 0 ? sh.resume_llbs
-                                           : std::span<const Key>{});
-
-  SortRun run;
-  if (sh.opts.checkpoint) {
-    // The parent is the reliable host: same collector coroutine as the sim,
-    // pumping the sockets, reaping children from the idle path.
-    sim::Machine hostm(cube::Topology{dim}, sh.opts.cost);
-    hostm.attach_remote(&host, transport::kHostRole);
-    hostm.run_remote_host(
-        [&sh](sim::HostCtx& h) { return ckpt_collector(h, sh); });
-    host.await_all();
-    run.summary.host_comm = hostm.host_stats().comm_ticks;
-    run.summary.host_comp = hostm.host_stats().comp_ticks;
-    run.summary.elapsed = hostm.host_stats().clock;
-  } else {
-    host.await_all();
-  }
-  par.await_exits();
-
-  tcp_detail::collect_tcp_results(host, dim, run, sh.m,
-                                  sh.opts.record_link_events);
-  if (sh.opts.checkpoint) run.checkpoints = certify_checkpoints(sh);
-  if (auto* tr = obs::tracer()) {
-    for (const auto& ck : run.checkpoints)
-      tr->instant(obs::Ev::kCkptCertify, obs::kHostNode, ck.stage, -1,
-                  run.summary.elapsed, ck.certified ? 1 : 0,
-                  ck.windows_agreed);
-    tr->instant(obs::Ev::kRunEnd, obs::kGlobal, -1, -1, run.summary.elapsed,
-                static_cast<std::int64_t>(run.errors.size()),
-                run.summary.watchdog_rounds);
-  }
-  return run;
+// Node p's S_FT program inside its own process, forked or exec'd.
+void process_node(const fleet::NodeJob& job, sim::Machine& mach,
+                  cube::NodeId p, std::span<Key> out) {
+  SftShared sh = shared_of(job);
+  mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); });
+  std::copy_n(sh.output.begin() + static_cast<std::ptrdiff_t>(p * sh.m), sh.m,
+              out.begin());
 }
 
-SortRun run_sft_impl(int dim, SftShared& sh) {
-  if (sh.opts.backend == transport::Backend::kShm) return run_sft_shm(dim, sh);
-  if (sh.opts.backend == transport::Backend::kTcp) return run_sft_tcp(dim, sh);
+SortRun run_on_fleet(SftShared& sh) {
+  const auto& o = sh.opts;
+  sim::HostMain host;
+  if (o.checkpoint)
+    host = [&sh](sim::HostCtx& h) { return ckpt_collector(h, sh); };
+  return fleet::run(
+      {.backend = o.backend,
+       .shm = o.shm,
+       .tcp = o.tcp,
+       .cfg = job_config(sh),
+       .input = sh.input,
+       .llbs = sh.resume_llbs,
+       .faults = o.node_faults,
+       .interceptor = o.interceptor,
+       .machine = o.machine,
+       .observer = static_cast<bool>(o.observer)},
+      process_node, host);
+}
+
+SortRun run_on_sim(int dim, SftShared& sh) {
   // Run on the caller's machine when provided (reset() keeps its pool and
   // channel storage warm across campaign scenarios); construct one otherwise.
   std::optional<sim::Machine> owned;
@@ -845,9 +664,7 @@ SortRun run_sft_impl(int dim, SftShared& sh) {
   }
   machine->set_interceptor(sh.opts.interceptor);
   machine->record_link_events(sh.opts.record_link_events);
-  if (auto* tr = obs::tracer())
-    tr->instant(obs::Ev::kRunBegin, obs::kGlobal, sh.start_stage, -1, 0.0, dim,
-                static_cast<std::int64_t>(sh.m));
+  sh.output.assign(sh.input.size(), 0);
   if (sh.opts.checkpoint)
     machine->run([&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); },
                  [&sh](sim::HostCtx& host) { return ckpt_collector(host, sh); });
@@ -858,8 +675,18 @@ SortRun run_sft_impl(int dim, SftShared& sh) {
   run.output = std::move(sh.output);
   run.errors = machine->errors();
   run.summary = machine->summary();
-  if (sh.opts.checkpoint) run.checkpoints = certify_checkpoints(sh);
   if (sh.opts.record_link_events) run.link_events = machine->link_events();
+  return run;
+}
+
+SortRun run_sft_impl(int dim, SftShared& sh) {
+  if (auto* tr = obs::tracer())
+    tr->instant(obs::Ev::kRunBegin, obs::kGlobal, sh.start_stage, -1, 0.0, dim,
+                static_cast<std::int64_t>(sh.m));
+  SortRun run = sh.opts.backend == transport::Backend::kSim
+                    ? run_on_sim(dim, sh)
+                    : run_on_fleet(sh);
+  if (sh.opts.checkpoint) run.checkpoints = certify_checkpoints(sh);
   if (auto* tr = obs::tracer()) {
     for (const auto& ck : run.checkpoints)
       tr->instant(obs::Ev::kCkptCertify, obs::kHostNode, ck.stage, -1,
@@ -880,7 +707,6 @@ SortRun run_sft(int dim, std::span<const Key> input, const SftOptions& opts) {
   sh.dim = dim;
   sh.m = opts.block;
   sh.input = input;  // view: the caller's buffer outlives the run
-  sh.output.assign(input.size(), 0);
   return run_sft_impl(dim, sh);
 }
 
@@ -897,54 +723,17 @@ SortRun resume_sft(int dim, const ResumeState& rs, const SftOptions& opts) {
   sh.start_stage = rs.stage;
   sh.resume_llbs = rs.llbs;  // views into the caller's ResumeState
   sh.input = rs.blocks;
-  sh.output.assign(rs.blocks.size(), 0);
   return run_sft_impl(dim, sh);
 }
 
 namespace detail {
 
 int run_sft_shm_node(transport::ShmSegment& seg, cube::NodeId p) {
-  const transport::SegmentHeader& hd = seg.header();
-  SftShared sh;
-  sh.dim = static_cast<int>(hd.dim);
-  sh.m = static_cast<std::size_t>(hd.block);
-  sh.start_stage = hd.start_stage;
-  sh.opts.block = sh.m;
-  sh.opts.cost = hd.cost;
-  sh.opts.check_progress = hd.check_progress != 0;
-  sh.opts.check_feasibility = hd.check_feasibility != 0;
-  sh.opts.check_consistency = hd.check_consistency != 0;
-  sh.opts.check_exchange = hd.check_exchange != 0;
-  sh.opts.checkpoint = hd.checkpoint != 0;
-  sh.opts.record_link_events = hd.record_events != 0;
-  sh.opts.node_faults = shm_detail::faults_from_segment(seg);
-  sh.in_child = true;
-  sh.input = seg.input();
-  if (hd.with_resume) sh.resume_llbs = seg.llbs();
-  sh.output.assign(sh.input.size(), 0);
-  return sft_child_body(seg, p, sh);
+  return fleet::run_node(seg, p, process_node);
 }
 
 int run_sft_tcp_node(transport::TcpNodeEndpoint& ep, cube::NodeId p) {
-  const transport::TcpConfigHead& hd = ep.config();
-  SftShared sh;
-  sh.dim = static_cast<int>(hd.dim);
-  sh.m = static_cast<std::size_t>(hd.block);
-  sh.start_stage = hd.start_stage;
-  sh.opts.block = sh.m;
-  sh.opts.cost = hd.cost;
-  sh.opts.check_progress = hd.check_progress != 0;
-  sh.opts.check_feasibility = hd.check_feasibility != 0;
-  sh.opts.check_consistency = hd.check_consistency != 0;
-  sh.opts.check_exchange = hd.check_exchange != 0;
-  sh.opts.checkpoint = hd.checkpoint != 0;
-  sh.opts.record_link_events = hd.record_events != 0;
-  sh.opts.node_faults = tcp_detail::faults_from_wire(ep.faults());
-  sh.in_child = true;
-  sh.input = ep.input();
-  if (hd.with_resume) sh.resume_llbs = ep.llbs();
-  sh.output.assign(sh.input.size(), 0);
-  return sft_tcp_child_body(ep, p, sh);
+  return fleet::run_node(ep, p, process_node);
 }
 
 }  // namespace detail

@@ -100,14 +100,16 @@ struct SftOptions {
   // over shared-memory rings and must reproduce the oracle's sorted output
   // and fail-stop verdicts for identical fault scripts.  kShm rejects
   // `observer` and `machine` (both are in-process affordances a forked child
-  // cannot share back) and is limited to dim <= transport::kMaxShmDim.
+  // cannot share back), an `interceptor` with an exec launcher
+  // (shm.node_binary) and wedge_process scripts, and is limited to
+  // dim <= transport::kMaxShmDim.
   transport::Backend backend = transport::Backend::kSim;
   transport::ShmOptions shm;
 
   // kTcp options: one OS process per node over framed loopback/LAN sockets,
   // with heartbeat-based peer-death detection in place of the shm parent's
   // waitpid authority (docs/PROTOCOL.md §13).  Same rejections and dim cap
-  // as kShm.
+  // as kShm, except that wedge_process is supported.
   transport::TcpOptions tcp;
 };
 

@@ -12,12 +12,9 @@
 
 #include "hypercube/subcube.h"
 #include "sort/blockops.h"
+#include "sort/fleet.h"
 #include "sort/sequential.h"
-#include "sort/shm_detail.h"
-#include "sort/tcp_detail.h"
 #include "transport/process.h"
-#include "transport/shm_transport.h"
-#include "transport/tcp_transport.h"
 
 namespace aoft::sort {
 
@@ -29,8 +26,6 @@ struct SnrShared {
   fault::NodeFaultMap node_faults;
   int dim = 0;
   bool with_host = false;  // host-verified variant: gather + Theorem-1 check
-  bool in_child = false;   // shm backend: this copy runs inside a node process
-  sim::LinkInterceptor* interceptor = nullptr;  // carried for fork children
   std::span<const Key> input;  // view into caller storage, alive for the run
   std::vector<Key> output;
 
@@ -93,8 +88,8 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
 
     for (int j = i; j >= 0; --j) {
       if (fault && fault->halt_at && fault::reached(*fault->halt_at, i, j)) {
-        if (fault->kill_process && sh.in_child) transport::kill_self();
-        if (fault->wedge_process && sh.in_child) transport::wedge_self();
+        if (fault->kill_process && ctx.remote()) transport::kill_self();
+        if (fault->wedge_process && ctx.remote()) transport::wedge_self();
         write_out();
         co_return;  // fail-silent: peers see message absence
       }
@@ -224,169 +219,64 @@ SortRun finish(sim::Machine& machine, SnrShared& sh) {
   return run;
 }
 
-// ---- shared-memory backend --------------------------------------------------
+// ---- process fabrics (sort/fleet.h) -----------------------------------------
 
-int snr_child_body(transport::ShmSegment& seg, cube::NodeId p, SnrShared& sh) {
-  transport::NodeSlot& slot = seg.slot(p);
-  try {
-    sim::Machine mach(cube::Topology{sh.dim}, sh.cost);
-    transport::ShmTransport link(seg, static_cast<std::int32_t>(p));
-    mach.attach_remote(&link, static_cast<std::int32_t>(p));
-    mach.set_interceptor(sh.interceptor);
-    slot.state.store(static_cast<std::uint32_t>(transport::SlotState::kRunning),
-                     std::memory_order_release);
-    mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); });
-    transport::finish_shm_node(seg, p, mach);
-    const std::size_t m = sh.m;
-    std::copy(sh.output.begin() + static_cast<std::ptrdiff_t>(p * m),
-              sh.output.begin() + static_cast<std::ptrdiff_t>((p + 1) * m),
-              seg.output().begin() + static_cast<std::ptrdiff_t>(p * m));
-    slot.state.store(static_cast<std::uint32_t>(transport::SlotState::kDone),
-                     std::memory_order_release);
-    return 0;
-  } catch (const std::exception& e) {
-    return shm_detail::fail_child(seg, p, e.what());
-  }
-}
-
-SortRun run_snr_shm(int dim, SnrShared& sh, const SnrOptions& opts) {
-  if (opts.machine != nullptr)
-    throw std::invalid_argument(
-        "SnrOptions::machine is a single-process affordance; not available "
-        "on the shm backend");
-
-  transport::ShmSegment::Config cfg;
-  cfg.dim = dim;
-  cfg.block = sh.m;
+// Options -> JobConfig: what every node process is told about the job.
+transport::JobConfig job_config(int dim, const SnrOptions& opts) {
+  transport::JobConfig cfg;
+  cfg.dim = static_cast<std::uint32_t>(dim);
+  cfg.block = opts.block;
   cfg.algo = 1;
-  cfg.cost = sh.cost;
-  cfg.recv_timeout_s = opts.shm.recv_timeout_s;
-  cfg.run_deadline_s = opts.shm.run_deadline_s;
-  auto seg = transport::ShmSegment::create(cfg);
-
-  std::copy(sh.input.begin(), sh.input.end(), seg.input().begin());
-  shm_detail::fill_wire_faults(seg, sh.node_faults);
-
-  transport::ShmParent par(seg);
-  sh.in_child = true;
-  if (opts.shm.node_binary.empty())
-    par.spawn_fork(
-        [&](cube::NodeId p) { return snr_child_body(seg, p, sh); });
-  else
-    par.spawn_exec(opts.shm.node_binary);
-  sh.in_child = false;
-  par.await_all();
-
-  SortRun run;
-  shm_detail::collect_shm_results(seg, run, /*record_events=*/false);
-  return run;
+  cfg.cost = opts.cost;
+  return cfg;
 }
 
-// ---- socket backend ---------------------------------------------------------
-
-int snr_tcp_child_body(transport::TcpNodeEndpoint& ep, cube::NodeId p,
-                       SnrShared& sh) {
-  try {
-    ep.connect_peers();
-    sim::Machine mach(cube::Topology{sh.dim}, sh.cost);
-    mach.attach_remote(&ep, static_cast<std::int32_t>(p));
-    mach.set_interceptor(sh.interceptor);
-    mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); });
-    const std::size_t m = sh.m;
-    tcp_detail::finish_tcp_node(
-        ep, p, mach, std::span<const Key>(sh.output).subspan(p * m, m),
-        /*record_events=*/false);
-    return 0;
-  } catch (const std::exception& e) {
-    return tcp_detail::fail_tcp_node(ep, p, e.what());
-  }
+// JobConfig -> Options: a node process rebuilds the run's state from the job
+// its fabric delivered.
+SnrShared shared_of(const fleet::NodeJob& job) {
+  SnrShared sh;
+  sh.dim = static_cast<int>(job.cfg.dim);
+  sh.m = static_cast<std::size_t>(job.cfg.block);
+  sh.cost = job.cfg.cost;
+  sh.node_faults = job.faults;
+  sh.input = job.input;
+  sh.output.assign(sh.input.size(), 0);
+  return sh;
 }
 
-SortRun run_snr_tcp(int dim, SnrShared& sh, const SnrOptions& opts) {
-  if (opts.machine != nullptr)
-    throw std::invalid_argument(
-        "SnrOptions::machine is a single-process affordance; not available "
-        "on the tcp backend");
-  if (dim > transport::kMaxProcessDim)
-    throw std::invalid_argument("tcp backend supports dim <= " +
-                                std::to_string(transport::kMaxProcessDim));
-  if (const std::size_t cb =
-          transport::config_frame_bytes(dim, sh.m, /*with_resume=*/false);
-      cb > transport::kMaxFrameBytes)
-    throw std::invalid_argument(
-        "tcp: CONFIG for this job would be " + std::to_string(cb) +
-        " bytes, beyond the " + std::to_string(transport::kMaxFrameBytes) +
-        "-byte frame limit — shrink block or dim for the tcp backend");
-
-  const cube::NodeId n = cube::NodeId{1} << dim;
-  const auto& topts = opts.tcp;
-  transport::TcpHostEndpoint host(dim, topts);
-  transport::TcpParent par(dim, topts.run_deadline_s);
-  host.set_host_poll([&par] { par.poll(); }, &par.children());
-  const auto pins =
-      topts.hosts_file.empty()
-          ? std::vector<std::optional<transport::HostPin>>(n)
-          : transport::parse_hosts_file(topts.hosts_file,
-                                        static_cast<int>(n));
-
-  const std::string parent_addr = host.addr();
-  const std::uint16_t parent_port = host.port();
-  sh.in_child = true;
-  if (topts.node_binary.empty()) {
-    const double setup_s = topts.run_deadline_s;
-    par.spawn_fork(
-        [&, setup_s](cube::NodeId p) {
-          try {
-            transport::TcpNodeEndpoint ep(
-                p, parent_addr, parent_port,
-                pins[p] ? pins[p]->addr : std::string("127.0.0.1"),
-                pins[p] ? pins[p]->port : std::uint16_t{0}, setup_s);
-            return snr_tcp_child_body(ep, p, sh);
-          } catch (const std::exception&) {
-            return 1;
-          }
-        },
-        pins);
-  } else {
-    par.spawn_exec(topts.node_binary, parent_addr, parent_port, pins);
-  }
-  sh.in_child = false;
-
-  host.rendezvous(topts.run_deadline_s);
-
-  transport::TcpConfigHead head;
-  head.block = sh.m;
-  head.algo = 1;
-  head.cost = sh.cost;
-  const auto wire_faults = tcp_detail::wire_faults_of(sh.node_faults, n);
-  host.broadcast_config(head, wire_faults, sh.input, {});
-
-  host.await_all();
-  par.await_exits();
-
-  SortRun run;
-  tcp_detail::collect_tcp_results(host, dim, run, sh.m,
-                                  /*record_events=*/false);
-  return run;
+// Node p's S_NR program inside its own process, forked or exec'd.
+void process_node(const fleet::NodeJob& job, sim::Machine& mach,
+                  cube::NodeId p, std::span<Key> out) {
+  SnrShared sh = shared_of(job);
+  mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); });
+  std::copy_n(sh.output.begin() + static_cast<std::ptrdiff_t>(p * sh.m), sh.m,
+              out.begin());
 }
 
 }  // namespace
 
 SortRun run_snr(int dim, std::span<const Key> input, const SnrOptions& opts) {
   assert(input.size() == (std::size_t{1} << dim) * opts.block);
+  if (opts.backend != transport::Backend::kSim)
+    return fleet::run({.backend = opts.backend,
+                       .shm = opts.shm,
+                       .tcp = opts.tcp,
+                       .cfg = job_config(dim, opts),
+                       .input = input,
+                       .llbs = {},
+                       .faults = opts.node_faults,
+                       .interceptor = opts.interceptor,
+                       .machine = opts.machine,
+                       .observer = false},
+                      process_node);
+
   SnrShared sh;
   sh.m = opts.block;
   sh.cost = opts.cost;
   sh.node_faults = opts.node_faults;
   sh.dim = dim;
-  sh.interceptor = opts.interceptor;
   sh.input = input;
   sh.output.assign(input.size(), 0);
-
-  if (opts.backend == transport::Backend::kShm)
-    return run_snr_shm(dim, sh, opts);
-  if (opts.backend == transport::Backend::kTcp)
-    return run_snr_tcp(dim, sh, opts);
 
   std::optional<sim::Machine> owned;
   sim::Machine* machine = opts.machine;
@@ -426,29 +316,11 @@ SortRun run_host_verified_snr(int dim, std::span<const Key> input,
 namespace detail {
 
 int run_snr_shm_node(transport::ShmSegment& seg, cube::NodeId p) {
-  const transport::SegmentHeader& hd = seg.header();
-  SnrShared sh;
-  sh.dim = static_cast<int>(hd.dim);
-  sh.m = static_cast<std::size_t>(hd.block);
-  sh.cost = hd.cost;
-  sh.node_faults = shm_detail::faults_from_segment(seg);
-  sh.in_child = true;
-  sh.input = seg.input();
-  sh.output.assign(sh.input.size(), 0);
-  return snr_child_body(seg, p, sh);
+  return fleet::run_node(seg, p, process_node);
 }
 
 int run_snr_tcp_node(transport::TcpNodeEndpoint& ep, cube::NodeId p) {
-  const transport::TcpConfigHead& hd = ep.config();
-  SnrShared sh;
-  sh.dim = static_cast<int>(hd.dim);
-  sh.m = static_cast<std::size_t>(hd.block);
-  sh.cost = hd.cost;
-  sh.node_faults = tcp_detail::faults_from_wire(ep.faults());
-  sh.in_child = true;
-  sh.input = ep.input();
-  sh.output.assign(sh.input.size(), 0);
-  return snr_tcp_child_body(ep, p, sh);
+  return fleet::run_node(ep, p, process_node);
 }
 
 }  // namespace detail

@@ -15,6 +15,8 @@
 #include <string>
 #include <string_view>
 
+#include "sim/cost_model.h"
+
 namespace aoft::transport {
 
 enum class Backend : std::uint8_t {
@@ -56,8 +58,8 @@ inline constexpr int kMaxProcessDim = 8;
 // Real-time bound a blocked receiver waits for link activity before its
 // watchdog declares message absence (Environmental Assumption 4 needs an
 // actual clock on a real transport).  One documented constant shared by the
-// shm and tcp backends — ShmOptions, ShmSegment::Config, SegmentHeader and
-// TcpOptions must all agree on it, which historically they did not.
+// shm and tcp backends — ShmOptions, TcpOptions and JobConfig must all agree
+// on it, which historically they did not.
 inline constexpr double kDefaultRecvTimeoutS = 15.0;
 
 // Parent-side bound on the whole run: on expiry every spawned child is
@@ -77,6 +79,42 @@ inline constexpr double kHeartbeatSlackPerKeyS = 1e-6;
 inline double scaled_heartbeat_loss(double loss_s, std::uint64_t block_keys) {
   if (loss_s <= 0) return loss_s;  // <= 0 disables the silence rule
   return loss_s + kHeartbeatSlackPerKeyS * static_cast<double>(block_keys);
+}
+
+// The per-job fields every node process needs, whichever fabric carries
+// them.  The shm SegmentHeader and ShmSegment::Config and the tcp CONFIG head
+// (TcpConfigHead) all inherit it, so each algorithm maps its options to and
+// from one struct.  Fixed-width fields without padding: it is wire format.
+struct JobConfig {
+  std::uint32_t dim = 0;
+  std::int32_t start_stage = 0;  // first stage to run; > 0 on a resume
+  std::uint64_t block = 1;
+  std::uint8_t algo = 0;  // 0 = sft, 1 = snr
+  std::uint8_t checkpoint = 0, record_events = 0, with_resume = 0;
+  std::uint8_t check_progress = 1, check_feasibility = 1;
+  std::uint8_t check_consistency = 1, check_exchange = 1;
+  double recv_timeout_s = kDefaultRecvTimeoutS;
+  sim::CostModel cost{};
+};
+
+// Why `job` cannot run, or "" when it can: dim <= kMaxProcessDim, block >= 1,
+// algo is 0 or 1, start_stage in [0, dim) (0 for a single node), and a resume
+// image exactly when start_stage > 0.  Checked wherever a job is created or
+// decoded: a segment header or CONFIG frame is outside input.
+inline std::string job_config_error(const JobConfig& job) {
+  if (job.dim > static_cast<std::uint32_t>(kMaxProcessDim))
+    return "dim " + std::to_string(job.dim) + " beyond the multi-process cap " +
+           std::to_string(kMaxProcessDim);
+  if (job.block < 1) return "block must be >= 1";
+  if (job.algo > 1) return "unknown algorithm " + std::to_string(job.algo);
+  if (job.start_stage < 0 ||
+      (job.start_stage > 0 &&
+       static_cast<std::uint32_t>(job.start_stage) >= job.dim))
+    return "start stage " + std::to_string(job.start_stage) +
+           " outside the dim-" + std::to_string(job.dim) + " cube";
+  if ((job.with_resume != 0) != (job.start_stage > 0))
+    return "a resume image must come with exactly the resumed jobs";
+  return "";
 }
 
 // Knobs for the shared-memory backend (ignored under kSim).

@@ -154,26 +154,19 @@ struct WirePortEntry {
 static_assert(std::is_trivially_copyable_v<WirePortEntry>);
 
 // kConfig payload: this fixed head, then WireFault[N], WirePortEntry[N],
-// Key[N*m] input, and (if with_resume) Key[N*m] llbs.  Mirrors SegmentHeader
-// field-for-field so exec'd children reconstruct SftOptions/SnrOptions the
-// same way shm exec children do from the segment.
-struct TcpConfigHead {
+// Key[N*m] input, and (if with_resume) Key[N*m] llbs.  The job itself is the
+// JobConfig the shm SegmentHeader also carries, so exec'd children
+// reconstruct SftOptions/SnrOptions the same way on both fabrics.
+// broadcast_config stamps magic, version, dim and for_node; the node checks
+// all four plus job_config_error() before it trusts the rest.
+inline constexpr std::uint32_t kTcpConfigVersion = 2;
+
+struct TcpConfigHead : JobConfig {
   char magic[8] = {};
-  std::uint32_t version = 1;
-  std::uint32_t dim = 0;
-  std::uint64_t block = 1;
-  std::int32_t start_stage = 0;
-  std::uint8_t algo = 0;  // 0 = sft, 1 = snr
-  std::uint8_t checkpoint = 0, record_events = 0, with_resume = 0;
-  std::uint8_t check_progress = 1, check_feasibility = 1;
-  std::uint8_t check_consistency = 1, check_exchange = 1;
+  std::uint32_t version = 0;
   std::int32_t for_node = 0;  // the addressee (sanity check)
-  double recv_timeout_s = kDefaultRecvTimeoutS;
   double heartbeat_interval_s = 0.0;
   double heartbeat_loss_s = 0.0;
-  sim::CostModel cost{};
-  std::uint32_t event_cap = 0;
-  std::uint32_t pad_ = 0;
 };
 static_assert(std::is_trivially_copyable_v<TcpConfigHead>);
 
@@ -182,7 +175,7 @@ static_assert(std::is_trivially_copyable_v<TcpConfigHead>);
 // largest frame of the protocol, so the drivers use this to reject a job
 // that cannot fit one frame *before* spawning any process, with a message
 // naming the real limit instead of a downstream "stream ended before
-// CONFIG" mystery; broadcast_config re-checks the same bound at send time.
+// CONFIG" mystery; append_frame refuses anything larger at send time.
 inline std::size_t config_frame_bytes(int dim, std::uint64_t block,
                                       bool with_resume) {
   const std::size_t n = std::size_t{1} << dim;

@@ -88,6 +88,17 @@ pid_t ChildSet::spawn(std::size_t slot, const std::function<int()>& body) {
   return pid;
 }
 
+pid_t ChildSet::spawn_exec(std::size_t slot, const std::string& binary,
+                          const std::string& arg) {
+  const std::string node_arg = "--node=" + std::to_string(slot);
+  return spawn(slot, [&] {
+    ::execl(binary.c_str(), binary.c_str(), arg.c_str(), node_arg.c_str(),
+            static_cast<char*>(nullptr));
+    std::perror("execl");
+    return 127;
+  });
+}
+
 void ChildSet::reap(std::size_t slot, int wstatus, const OnReap& on_reap) {
   ::close(pidfds_[slot]);
   pidfds_[slot] = -1;
@@ -153,16 +164,8 @@ void ShmParent::spawn_fork(
 
 void ShmParent::spawn_exec(const std::string& binary) {
   const std::string seg_arg = "--segment=" + seg_.name();
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p) {
-    const std::string node_arg = "--node=" + std::to_string(p);
-    seg_.slot(p).pid = children_.spawn(p, [&] {
-      execl(binary.c_str(), binary.c_str(), seg_arg.c_str(), node_arg.c_str(),
-            static_cast<char*>(nullptr));
-      // Exec failure: no segment state is trustworthy from here, just leave.
-      std::perror("execl");
-      return 127;
-    });
-  }
+  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
+    seg_.slot(p).pid = children_.spawn_exec(p, binary, seg_arg);
 }
 
 void ShmParent::reap(cube::NodeId p, int wstatus) {
@@ -198,55 +201,7 @@ void ShmParent::await_all() {
   }
 }
 
-void ShmParent::kill_all() { children_.kill_all(); }
-
 bool ShmParent::all_reaped() const { return children_.all_reaped(); }
-
-void finish_shm_node(ShmSegment& seg, cube::NodeId p,
-                     const sim::Machine& mach) {
-  NodeSlot& slot = seg.slot(p);
-  const sim::NodeStats& st = mach.node_stats(p);
-  slot.clock = st.clock;
-  slot.comp_ticks = st.comp_ticks;
-  slot.comm_ticks = st.comm_ticks;
-  slot.msgs_sent = st.msgs_sent;
-  slot.words_sent = st.words_sent;
-  slot.watchdog_rounds =
-      static_cast<std::uint32_t>(mach.summary().watchdog_rounds);
-
-  for (const sim::ErrorReport& e : mach.errors()) {
-    if (slot.error_count >= kMaxSlotErrors) {
-      ++slot.error_overflow;
-      continue;
-    }
-    WireError& w = slot.errors[slot.error_count++];
-    w.stage = e.stage;
-    w.iter = e.iter;
-    w.source = static_cast<std::uint8_t>(e.source);
-    copy_detail(w.detail, e.detail);
-  }
-
-  const auto cap = seg.header().event_cap;
-  if (cap > 0) {
-    auto events = seg.events(p);
-    for (const sim::LinkEvent& e : mach.link_events()) {
-      if (slot.event_count >= cap) {
-        ++slot.event_overflow;
-        continue;
-      }
-      WireLinkEvent& w = events[slot.event_count++];
-      w.from = static_cast<std::int32_t>(e.from);
-      w.to = static_cast<std::int32_t>(e.to);
-      w.kind = static_cast<std::uint8_t>(e.kind);
-      w.delivered = e.delivered ? 1 : 0;
-      w.to_host = e.to_host ? 1 : 0;
-      w.from_host = e.from_host ? 1 : 0;
-      w.stage = e.stage;
-      w.iter = e.iter;
-      w.words = e.words;
-    }
-  }
-}
 
 void kill_self() {
   raise(SIGKILL);

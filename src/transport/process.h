@@ -10,9 +10,7 @@
 // fork+execs) the children, reaps them, and is the authority that turns a
 // vanished process into a kDead status slot — a SIGKILLed child cannot
 // update its own slot, so peers' message-absence detection depends on the
-// parent polling.  finish_shm_node is the child-side counterpart: it
-// publishes a completed machine's stats, error reports and link events into
-// the node's slot.
+// parent polling.
 
 #pragma once
 
@@ -25,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/machine.h"
 #include "transport/shm_segment.h"
 
 namespace aoft::transport {
@@ -55,6 +52,9 @@ class ChildSet {
   // value (127 if body throws).  Throws std::runtime_error if fork fails, or if pidfd_open does
   // (after killing and reaping the just-forked child).  Returns the pid.
   pid_t spawn(std::size_t slot, const std::function<int()>& body);
+  // Fork+exec `binary <arg> --node=<slot>` (exit 127 if the exec fails).
+  pid_t spawn_exec(std::size_t slot, const std::string& binary,
+                   const std::string& arg);
 
   // Reap every exited child without blocking, reporting each to on_reap;
   // once the run deadline has passed, SIGKILL the rest (they are reaped by
@@ -109,9 +109,6 @@ class ShmParent {
   // run deadline, to enforce it).
   void await_all();
 
-  // SIGKILL every still-live child.
-  void kill_all();
-
   bool all_reaped() const;
 
  private:
@@ -120,13 +117,6 @@ class ShmParent {
   ShmSegment& seg_;
   ChildSet children_;
 };
-
-// Publish a finished node machine into its status slot: stats, watchdog
-// rounds, error reports (truncated at kMaxSlotErrors) and link events
-// (truncated at event_cap).  Does NOT store the terminal state — the caller
-// copies its output block first, then stores kDone, so a kDone slot always
-// implies a complete output region.
-void finish_shm_node(ShmSegment& seg, cube::NodeId p, const sim::Machine& mach);
 
 // The fail-stop injection for the shm backend: die the way a crashed node
 // dies, mid-protocol with no goodbye.  (The simulator degrades kill_process

@@ -38,38 +38,29 @@ std::uint64_t ring_footprint(std::uint64_t buf_bytes) {
   return sizeof(ShmRingHdr) + buf_bytes;
 }
 
+// One node's ring block: its dim inbound link rings, then its up ring, then
+// its down ring.
+std::uint64_t ring_block_bytes(const SegmentHeader& hd) {
+  return hd.dim * ring_footprint(hd.link_ring_bytes) +
+         ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
+}
+
 }  // namespace
 
 ShmSegment ShmSegment::create(const Config& cfg) {
-  if (cfg.dim < 0 || cfg.dim > kMaxShmDim)
-    throw std::invalid_argument(
-        "shm backend supports cube dimensions 0.." +
-        std::to_string(kMaxShmDim) + ", got " + std::to_string(cfg.dim));
-  if (cfg.block < 1)
-    throw std::invalid_argument("shm backend needs block >= 1");
+  if (const std::string why = job_config_error(cfg); !why.empty())
+    throw std::invalid_argument("shm: " + why);
 
   const std::uint64_t n = std::uint64_t{1} << cfg.dim;
   const std::uint64_t m = cfg.block;
   const std::uint64_t keys = n * m;
 
   SegmentHeader hd;
+  static_cast<JobConfig&>(hd) = cfg;
   std::memcpy(hd.magic, kSegmentMagic, sizeof hd.magic);
   hd.version = kSegmentVersion;
-  hd.dim = static_cast<std::uint32_t>(cfg.dim);
-  hd.block = m;
-  hd.start_stage = cfg.start_stage;
-  hd.algo = cfg.algo;
-  hd.checkpoint = cfg.checkpoint ? 1 : 0;
-  hd.record_events = cfg.record_events ? 1 : 0;
-  hd.with_resume = cfg.with_resume ? 1 : 0;
-  hd.check_progress = cfg.check_progress ? 1 : 0;
-  hd.check_feasibility = cfg.check_feasibility ? 1 : 0;
-  hd.check_consistency = cfg.check_consistency ? 1 : 0;
-  hd.check_exchange = cfg.check_exchange ? 1 : 0;
   hd.host_pid = static_cast<std::int32_t>(getpid());
-  hd.recv_timeout_s = cfg.recv_timeout_s;
   hd.run_deadline_s = cfg.run_deadline_s;
-  hd.cost = cfg.cost;
 
   // Whole-run ring capacities (see the header comment).  A directed node
   // link carries at most dim+1 messages, each up to a full-cube LBS slice
@@ -103,10 +94,7 @@ ShmSegment ShmSegment::create(const Config& cfg) {
   hd.off_output = off;
   off = align_up(off + keys * sizeof(sim::Key));
   hd.off_rings = off;
-  const std::uint64_t per_node_rings =
-      static_cast<std::uint64_t>(cfg.dim) * ring_footprint(hd.link_ring_bytes) +
-      ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
-  off = align_up(off + n * per_node_rings);
+  off = align_up(off + n * ring_block_bytes(hd));
   hd.total_bytes = off;
 
   // A collision-free name: pid + an in-process counter.
@@ -171,10 +159,11 @@ ShmSegment ShmSegment::attach(const std::string& name) {
   seg.owner_ = false;
   const auto& hd = seg.header();
   if (std::memcmp(hd.magic, kSegmentMagic, sizeof hd.magic) != 0 ||
-      hd.version != kSegmentVersion || hd.total_bytes != size ||
-      hd.dim > static_cast<std::uint32_t>(kMaxShmDim))
+      hd.version != kSegmentVersion || hd.total_bytes != size)
     throw std::runtime_error("segment " + name +
                              " has a foreign or corrupt header");
+  if (const std::string why = job_config_error(hd); !why.empty())
+    throw std::runtime_error("segment " + name + " carries a bad job: " + why);
   return seg;
 }
 
@@ -197,8 +186,8 @@ ShmSegment::~ShmSegment() {
   if (owner_) shm_unlink(name_.c_str());
 }
 
-WireFault& ShmSegment::fault(cube::NodeId p) {
-  return reinterpret_cast<WireFault*>(at(header().off_faults))[p];
+std::span<WireFault> ShmSegment::faults() {
+  return {reinterpret_cast<WireFault*>(at(header().off_faults)), num_nodes()};
 }
 
 NodeSlot& ShmSegment::slot(cube::NodeId p) {
@@ -226,41 +215,33 @@ std::span<sim::Key> ShmSegment::output() {
   return {reinterpret_cast<sim::Key*>(at(header().off_output)), keys};
 }
 
+ShmRing ShmSegment::ring_at(cube::NodeId p, std::uint64_t skip,
+                            std::uint64_t bytes) {
+  const std::uint64_t off =
+      header().off_rings + p * ring_block_bytes(header()) + skip;
+  return ShmRing(reinterpret_cast<ShmRingHdr*>(at(off)),
+                 at(off + sizeof(ShmRingHdr)), bytes);
+}
+
 ShmRing ShmSegment::link_ring(cube::NodeId to, int k) {
   const auto& hd = header();
-  const std::uint64_t per_node =
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes) +
-      ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
-  std::uint64_t off = hd.off_rings + to * per_node +
-                      static_cast<std::uint64_t>(k) *
-                          ring_footprint(hd.link_ring_bytes);
-  auto* rh = reinterpret_cast<ShmRingHdr*>(at(off));
-  return ShmRing(rh, at(off + sizeof(ShmRingHdr)), hd.link_ring_bytes);
+  return ring_at(to, static_cast<std::uint64_t>(k) *
+                         ring_footprint(hd.link_ring_bytes),
+                 hd.link_ring_bytes);
 }
 
 ShmRing ShmSegment::up_ring(cube::NodeId p) {
   const auto& hd = header();
-  const std::uint64_t per_node =
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes) +
-      ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
-  const std::uint64_t off =
-      hd.off_rings + p * per_node +
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes);
-  auto* rh = reinterpret_cast<ShmRingHdr*>(at(off));
-  return ShmRing(rh, at(off + sizeof(ShmRingHdr)), hd.up_ring_bytes);
+  return ring_at(p, hd.dim * ring_footprint(hd.link_ring_bytes),
+                 hd.up_ring_bytes);
 }
 
 ShmRing ShmSegment::down_ring(cube::NodeId p) {
   const auto& hd = header();
-  const std::uint64_t per_node =
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes) +
-      ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
-  const std::uint64_t off =
-      hd.off_rings + p * per_node +
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes) +
-      ring_footprint(hd.up_ring_bytes);
-  auto* rh = reinterpret_cast<ShmRingHdr*>(at(off));
-  return ShmRing(rh, at(off + sizeof(ShmRingHdr)), hd.down_ring_bytes);
+  return ring_at(p,
+                 hd.dim * ring_footprint(hd.link_ring_bytes) +
+                     ring_footprint(hd.up_ring_bytes),
+                 hd.down_ring_bytes);
 }
 
 }  // namespace aoft::transport

@@ -2,9 +2,9 @@
 //
 // Layout (offsets in the header, every region 64-byte aligned):
 //
-//   SegmentHeader      job configuration: dimensions, cost model, predicate
-//                      toggles, per-run timeouts — everything an exec'd
-//                      child needs to reconstruct its SftOptions/SnrOptions
+//   SegmentHeader      the JobConfig (dimensions, cost model, predicate
+//                      toggles, timeouts) — everything an exec'd child needs
+//                      to reconstruct its SftOptions/SnrOptions — plus layout
 //   WireFault[N]       scripted per-node faults (fault::NodeFault as POD)
 //   NodeSlot[N]        per-child status (atomic), pid, stats, error records
 //   WireLinkEvent[N*cap] per-child link-event log (record_events)
@@ -41,7 +41,7 @@ namespace aoft::transport {
 inline constexpr int kMaxShmDim = kMaxProcessDim;  // shared multi-process cap
 inline constexpr char kSegmentMagic[8] = {'A', 'O', 'F', 'T',
                                           'S', 'H', 'M', '1'};
-inline constexpr std::uint32_t kSegmentVersion = 1;
+inline constexpr std::uint32_t kSegmentVersion = 2;
 inline constexpr std::uint32_t kMaxSlotErrors = 16;
 inline constexpr std::uint32_t kErrDetailBytes = 96;
 
@@ -49,15 +49,20 @@ inline constexpr std::uint32_t kErrDetailBytes = 96;
 // Machine::attach_remote; this one is the convention).
 inline constexpr std::int32_t kHostRole = -1;
 
+// fault::StagePoint on the wire; set == 0 encodes "no such point".
+struct WirePoint {
+  std::int32_t stage = 0, iter = 0;
+  std::uint8_t set = 0;
+  std::uint8_t pad_[3] = {};
+};
+
 // fault::NodeFault flattened to POD for the segment (exec'd children cannot
 // inherit the parent's NodeFaultMap).
 struct WireFault {
-  std::uint8_t has_halt = 0, has_invert = 0, has_subst = 0;
-  std::uint8_t silent_checker = 0, kill_process = 0, wedge_process = 0;
-  std::int32_t halt_stage = 0, halt_iter = 0;
-  std::int32_t invert_stage = 0, invert_iter = 0;
-  std::int32_t subst_stage = 0, subst_iter = 0;
+  WirePoint halt, invert, subst;
   std::int64_t subst_value = 0;
+  std::uint8_t silent_checker = 0, kill_process = 0, wedge_process = 0;
+  std::uint8_t pad_[5] = {};
 };
 
 struct WireError {
@@ -90,20 +95,11 @@ struct NodeSlot {
   char fail_reason[kErrDetailBytes] = {};
 };
 
-struct SegmentHeader {
+struct SegmentHeader : JobConfig {
   char magic[8] = {};
   std::uint32_t version = 0;
-  std::uint32_t dim = 0;
-  std::uint64_t block = 1;
-  std::int32_t start_stage = 0;
-  std::uint8_t algo = 0;  // 0 = sft, 1 = snr
-  std::uint8_t checkpoint = 0, record_events = 0, with_resume = 0;
-  std::uint8_t check_progress = 1, check_feasibility = 1;
-  std::uint8_t check_consistency = 1, check_exchange = 1;
   std::int32_t host_pid = 0;
-  double recv_timeout_s = kDefaultRecvTimeoutS;
   double run_deadline_s = kDefaultRunDeadlineS;
-  sim::CostModel cost{};
   std::uint64_t link_ring_bytes = 0, up_ring_bytes = 0, down_ring_bytes = 0;
   std::uint32_t event_cap = 0;
   std::uint64_t off_faults = 0, off_slots = 0, off_events = 0;
@@ -114,28 +110,18 @@ static_assert(std::is_trivially_copyable_v<SegmentHeader>);
 
 class ShmSegment {
  public:
-  struct Config {
-    int dim = 0;
-    std::uint64_t block = 1;
-    std::uint8_t algo = 0;
-    int start_stage = 0;
-    bool checkpoint = false;
-    bool record_events = false;
-    bool with_resume = false;
-    bool check_progress = true, check_feasibility = true;
-    bool check_consistency = true, check_exchange = true;
-    sim::CostModel cost{};
-    double recv_timeout_s = kDefaultRecvTimeoutS;
+  struct Config : JobConfig {
     double run_deadline_s = kDefaultRunDeadlineS;
   };
 
   // Parent side: create, size and zero-init a fresh segment.  Throws
   // std::runtime_error on any shm/mmap failure and std::invalid_argument on
-  // an out-of-range configuration (dim > kMaxShmDim).
+  // a job that job_config_error() rejects.
   static ShmSegment create(const Config& cfg);
 
   // Child side (exec mode): open an existing segment by name and validate
-  // magic/version/size.  Throws std::runtime_error on mismatch.
+  // magic/version/size and the job (job_config_error).  Throws
+  // std::runtime_error on mismatch.
   static ShmSegment attach(const std::string& name);
 
   ShmSegment(ShmSegment&&) noexcept;
@@ -153,7 +139,7 @@ class ShmSegment {
     return *reinterpret_cast<const SegmentHeader*>(base_);
   }
 
-  WireFault& fault(cube::NodeId p);
+  std::span<WireFault> faults();  // one per node
   NodeSlot& slot(cube::NodeId p);
   std::span<WireLinkEvent> events(cube::NodeId p);  // event_cap entries
   std::span<sim::Key> input();
@@ -168,6 +154,8 @@ class ShmSegment {
  private:
   ShmSegment() = default;
   unsigned char* at(std::uint64_t off) { return base_ + off; }
+  // The ring `skip` bytes into node p's ring block.
+  ShmRing ring_at(cube::NodeId p, std::uint64_t skip, std::uint64_t bytes);
 
   std::string name_;
   unsigned char* base_ = nullptr;

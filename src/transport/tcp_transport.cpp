@@ -55,6 +55,48 @@ bool wait_readable(int fd, int timeout_ms) {
   return ::poll(&pf, 1, timeout_ms) > 0;
 }
 
+// Copy `count` PODs off the front of a payload cursor whose size the caller
+// has already checked.
+template <class T>
+void take_n(std::span<const unsigned char>& cur, std::vector<T>& out,
+            std::size_t count) {
+  out.resize(count);
+  if (count == 0) return;
+  std::memcpy(out.data(), cur.data(), count * sizeof(T));
+  cur = cur.subspan(count * sizeof(T));
+}
+
+WireHello hello_of(cube::NodeId node) {
+  WireHello hello;
+  std::memcpy(hello.magic, kTcpMagic, sizeof hello.magic);
+  hello.role = static_cast<std::int32_t>(node);
+  return hello;
+}
+
+// One pass of a HELLO-keyed accept loop: accept whatever is pending into
+// `anon`, hand each connection whose HELLO has arrived to on_hello (which
+// takes it), and drop those that closed before saying anything.
+template <class OnHello>
+void accept_hellos(TcpListener& listener, std::vector<TcpConn>& anon,
+                   const char* what, const OnHello& on_hello) {
+  while (auto c = listener.accept_one()) anon.push_back(std::move(*c));
+  for (auto& c : anon) {
+    if (c.fd() < 0) continue;
+    c.read_some();
+    if (auto f = c.reader().next()) {
+      WireHello hello;
+      auto payload = f->payload;
+      if (f->type != FrameType::kHello || !take(payload, hello) ||
+          std::memcmp(hello.magic, kTcpMagic, sizeof hello.magic) != 0)
+        throw std::runtime_error(std::string("tcp: bad ") + what + " hello");
+      on_hello(hello, c);
+    } else if (c.eof() || c.reader().malformed()) {
+      c.close_fd();  // gone before its HELLO: nothing left to wait for
+    }
+  }
+  std::erase_if(anon, [](const TcpConn& c) { return c.fd() < 0; });
+}
+
 // Upper bound on one blocked wait of a service loop: heartbeats and sweeps
 // run between waits, so no loop may sleep past their cadence.
 constexpr auto kServiceSlice = std::chrono::milliseconds(20);
@@ -274,9 +316,7 @@ TcpNodeEndpoint::TcpNodeEndpoint(cube::NodeId node,
       watch_(0, 0.0) {
   scratch_.reserve(4096);
 
-  WireHello hello;
-  std::memcpy(hello.magic, kTcpMagic, sizeof hello.magic);
-  hello.role = static_cast<std::int32_t>(me_);
+  WireHello hello = hello_of(me_);
   hello.listen_port = listener_.port();
   std::snprintf(hello.listen_addr, sizeof hello.listen_addr, "%s",
                 listen_addr.c_str());
@@ -308,29 +348,21 @@ TcpNodeEndpoint::TcpNodeEndpoint(cube::NodeId node,
   std::span<const unsigned char> cur(cfg_payload);
   if (!take(cur, cfg_) ||
       std::memcmp(cfg_.magic, kTcpMagic, sizeof cfg_.magic) != 0 ||
-      cfg_.for_node != static_cast<std::int32_t>(me_) ||
-      cfg_.dim > static_cast<std::uint32_t>(kMaxProcessDim))
+      cfg_.version != kTcpConfigVersion ||
+      cfg_.for_node != static_cast<std::int32_t>(me_))
     throw std::runtime_error("tcp: CONFIG head corrupt");
+  if (const std::string why = job_config_error(cfg_); !why.empty())
+    throw std::runtime_error("tcp: CONFIG carries a bad job: " + why);
   dim_ = static_cast<int>(cfg_.dim);
+  if (cfg_payload.size() !=
+      config_frame_bytes(dim_, cfg_.block, cfg_.with_resume != 0))
+    throw std::runtime_error("tcp: CONFIG size disagrees with its head");
   const cube::NodeId n = cube::NodeId{1} << dim_;
-  faults_.resize(n);
-  port_map_.resize(n);
-  for (auto& f : faults_)
-    if (!take(cur, f)) throw std::runtime_error("tcp: CONFIG faults corrupt");
-  for (auto& e : port_map_)
-    if (!take(cur, e)) throw std::runtime_error("tcp: CONFIG ports corrupt");
   const std::size_t keys = static_cast<std::size_t>(n) * cfg_.block;
-  const std::size_t want =
-      keys * sizeof(sim::Key) * (cfg_.with_resume ? 2 : 1);
-  if (cur.size() != want)
-    throw std::runtime_error("tcp: CONFIG key payload corrupt");
-  input_.resize(keys);
-  std::memcpy(input_.data(), cur.data(), keys * sizeof(sim::Key));
-  if (cfg_.with_resume) {
-    llbs_.resize(keys);
-    std::memcpy(llbs_.data(), cur.data() + keys * sizeof(sim::Key),
-                keys * sizeof(sim::Key));
-  }
+  take_n(cur, faults_, n);
+  take_n(cur, port_map_, n);
+  take_n(cur, input_, keys);
+  take_n(cur, llbs_, cfg_.with_resume ? keys : 0);
 
   peers_.resize(static_cast<std::size_t>(dim_));
   watch_ = PeerWatch(dim_, cfg_.heartbeat_loss_s);
@@ -352,11 +384,8 @@ void TcpNodeEndpoint::connect_peers() {
       // HELLO, so the lower neighbor is already accepting.
       peers_[static_cast<std::size_t>(k)] =
           tcp_dial(port_map_[q].addr, port_map_[q].port, cfg_.recv_timeout_s);
-      WireHello hello;
-      std::memcpy(hello.magic, kTcpMagic, sizeof hello.magic);
-      hello.role = static_cast<std::int32_t>(me_);
-      peers_[static_cast<std::size_t>(k)].queue_frame(FrameType::kHello,
-                                                      as_bytes_of(hello));
+      peers_[static_cast<std::size_t>(k)].queue_frame(
+          FrameType::kHello, as_bytes_of(hello_of(me_)));
     } else {
       ++expect_accept;
     }
@@ -370,26 +399,14 @@ void TcpNodeEndpoint::connect_peers() {
   while (expect_accept > 0) {
     if (Clock::now() >= deadline)
       throw std::runtime_error("tcp: peer mesh accept timed out");
-    while (auto c = listener_.accept_one()) anon.push_back(std::move(*c));
-    for (auto& c : anon) {
-      if (!c.open()) continue;
-      c.read_some();
-      if (auto f = c.reader().next()) {
-        WireHello hello;
-        auto payload = f->payload;
-        if (f->type != FrameType::kHello || !take(payload, hello) ||
-            std::memcmp(hello.magic, kTcpMagic, sizeof hello.magic) != 0)
-          throw std::runtime_error("tcp: bad peer hello");
-        const auto q = static_cast<cube::NodeId>(hello.role);
-        if ((me_ ^ q) == 0 || std::popcount(me_ ^ q) != 1 || q < me_)
-          throw std::runtime_error("tcp: peer hello from non-neighbor");
-        neighbor(q) = std::move(c);
-        --expect_accept;
-      } else if (c.eof() || c.reader().malformed()) {
-        c.close_fd();  // gone before its HELLO: nothing left to wait for
-      }
-    }
-    std::erase_if(anon, [](const TcpConn& c) { return c.fd() < 0; });
+    accept_hellos(listener_, anon, "peer",
+                  [&](const WireHello& hello, TcpConn& c) {
+      const auto q = static_cast<cube::NodeId>(hello.role);
+      if (std::popcount(me_ ^ q) != 1 || q < me_)
+        throw std::runtime_error("tcp: peer hello from non-neighbor");
+      neighbor(q) = std::move(c);
+      --expect_accept;
+    });
     if (expect_accept == 0) break;
     pfds.assign({{listener_.fd(), POLLIN, 0}});
     add_conn_fds(pfds, anon, true);
@@ -583,36 +600,24 @@ void TcpHostEndpoint::rendezvous(double setup_timeout_s) {
                                std::to_string(helloed) + "/" +
                                std::to_string(n_) + " nodes");
     if (host_poll_) host_poll_();  // notice children that died pre-HELLO
-    while (auto c = listener_.accept_one())
-      anonymous_.push_back(std::move(*c));
-    for (auto& c : anonymous_) {
-      if (c.fd() < 0) continue;
-      c.read_some();
-      if (auto f = c.reader().next()) {
-        WireHello hello;
-        auto payload = f->payload;
-        if (f->type != FrameType::kHello || !take(payload, hello) ||
-            std::memcmp(hello.magic, kTcpMagic, sizeof hello.magic) != 0 ||
-            hello.role < 0 || static_cast<cube::NodeId>(hello.role) >= n_)
-          throw std::runtime_error("tcp: bad node hello");
-        const auto p = static_cast<cube::NodeId>(hello.role);
-        if (conns_[p].fd() >= 0)
-          throw std::runtime_error("tcp: duplicate hello from node " +
-                                   std::to_string(p));
-        std::snprintf(port_map_[p].addr, sizeof port_map_[p].addr, "%s",
-                      hello.listen_addr);
-        port_map_[p].port = hello.listen_port;
-        conns_[p] = std::move(c);
-        // kRunning, silence rule un-armed: the node is rightfully quiet
-        // until CONFIG reaches it and its mesh completes (minutes, under
-        // --hosts); its first post-mesh heartbeat arms the watchdog.
-        watch_.mark_up(static_cast<int>(p), Clock::now());
-        ++helloed;
-      } else if (c.eof() || c.reader().malformed()) {
-        c.close_fd();
-      }
-    }
-    std::erase_if(anonymous_, [](const TcpConn& c) { return c.fd() < 0; });
+    accept_hellos(listener_, anonymous_, "node",
+                  [&](const WireHello& hello, TcpConn& c) {
+      if (hello.role < 0 || static_cast<cube::NodeId>(hello.role) >= n_)
+        throw std::runtime_error("tcp: bad node hello");
+      const auto p = static_cast<cube::NodeId>(hello.role);
+      if (conns_[p].fd() >= 0)
+        throw std::runtime_error("tcp: duplicate hello from node " +
+                                 std::to_string(p));
+      std::snprintf(port_map_[p].addr, sizeof port_map_[p].addr, "%s",
+                    hello.listen_addr);
+      port_map_[p].port = hello.listen_port;
+      conns_[p] = std::move(c);
+      // kRunning, silence rule un-armed: the node is rightfully quiet until
+      // CONFIG reaches it and its mesh completes (minutes, under --hosts);
+      // its first post-mesh heartbeat arms the watchdog.
+      watch_.mark_up(static_cast<int>(p), Clock::now());
+      ++helloed;
+    });
     if (helloed == n_) break;
     pfds.assign({{listener_.fd(), POLLIN, 0}});
     add_conn_fds(pfds, anonymous_, true);
@@ -626,6 +631,7 @@ void TcpHostEndpoint::broadcast_config(TcpConfigHead head,
                                        std::span<const sim::Key> input,
                                        std::span<const sim::Key> llbs) {
   std::memcpy(head.magic, kTcpMagic, sizeof head.magic);
+  head.version = kTcpConfigVersion;
   head.dim = static_cast<std::uint32_t>(dim_);
   head.recv_timeout_s = opts_.recv_timeout_s;
   head.heartbeat_interval_s = opts_.heartbeat_interval_s;
@@ -635,17 +641,6 @@ void TcpHostEndpoint::broadcast_config(TcpConfigHead head,
   head.heartbeat_loss_s = scaled_heartbeat_loss(opts_.heartbeat_loss_s,
                                                 head.block);
   watch_.set_loss(head.heartbeat_loss_s);
-  // Same bound the drivers checked before spawning; re-checked here so no
-  // caller can push an unframeable CONFIG into append_frame's truncation
-  // guard with a less helpful message.
-  const std::size_t config_bytes = sizeof head + faults.size_bytes() +
-                                   port_map_.size() * sizeof(WirePortEntry) +
-                                   input.size_bytes() + llbs.size_bytes();
-  if (config_bytes > kMaxFrameBytes)
-    throw std::runtime_error(
-        "tcp: CONFIG payload of " + std::to_string(config_bytes) +
-        " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-        "-byte frame limit — shrink block or dim for the tcp backend");
   std::vector<unsigned char> payload;
   for (cube::NodeId p = 0; p < n_; ++p) {
     head.for_node = static_cast<std::int32_t>(p);
@@ -679,15 +674,9 @@ void TcpHostEndpoint::handle_frame(cube::NodeId p, const Frame& f) {
                             s.head.event_count * sizeof(WireLinkEvent) +
                             s.head.out_count * sizeof(sim::Key))
         throw std::runtime_error("tcp: finish frame corrupt");
-      s.errors.resize(s.head.error_count);
-      for (auto& e : s.errors) take(cur, e);
-      s.events.resize(s.head.event_count);
-      for (auto& e : s.events) take(cur, e);
-      s.output.resize(s.head.out_count);
-      if (s.head.out_count) {
-        std::memcpy(s.output.data(), cur.data(),
-                    s.head.out_count * sizeof(sim::Key));
-      }
+      take_n(cur, s.errors, s.head.error_count);
+      take_n(cur, s.events, s.head.event_count);
+      take_n(cur, s.output, s.head.out_count);
       s.state = static_cast<SlotState>(s.head.state);
       watch_.mark_finished(static_cast<int>(p), s.state);
       return;
@@ -803,15 +792,9 @@ void TcpParent::spawn_exec(const std::string& binary,
                            const std::vector<std::optional<HostPin>>& pins) {
   const std::string connect_arg =
       "--connect=" + parent_addr + ":" + std::to_string(parent_port);
-  for (cube::NodeId p = 0; p < children_.size(); ++p) {
-    if (p < pins.size() && pins[p]) continue;
-    const std::string node_arg = "--node=" + std::to_string(p);
-    children_.spawn(p, [&] {
-      ::execl(binary.c_str(), binary.c_str(), connect_arg.c_str(),
-              node_arg.c_str(), static_cast<char*>(nullptr));
-      return 127;
-    });
-  }
+  for (cube::NodeId p = 0; p < children_.size(); ++p)
+    if (p >= pins.size() || !pins[p])
+      children_.spawn_exec(p, binary, connect_arg);
 }
 
 void TcpParent::poll() { children_.poll(); }

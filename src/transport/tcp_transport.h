@@ -237,7 +237,7 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   void rendezvous(double setup_timeout_s);
 
   // Send each node its CONFIG: `head` plus faults/port-map/input/llbs tail
-  // (for_node is stamped per recipient here).
+  // (magic, version and dim are stamped here, for_node per recipient).
   void broadcast_config(TcpConfigHead head,
                         std::span<const WireFault> faults,
                         std::span<const sim::Key> input,
@@ -249,9 +249,6 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   void await_all();
 
   TcpSlot& slot(cube::NodeId p) { return slots_[p]; }
-  SlotState peer_state(cube::NodeId p) const {
-    return watch_.state(static_cast<int>(p));
-  }
 
   // sim::RemoteLink
   void send_node(cube::NodeId from, cube::NodeId to,

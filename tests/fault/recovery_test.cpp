@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "fault/adversary.h"
+#include "fault/supervisor.h"
 #include "util/rng.h"
 
 namespace aoft::fault {
@@ -12,7 +13,8 @@ namespace {
 
 TEST(RecoveryTest, CleanRunNeedsOneAttempt) {
   auto input = util::random_keys(1, 16);
-  const auto run = run_sft_with_recovery(4, input, {}, nullptr, 3);
+  const auto run =
+      run_supervised_sort(4, input, {}, RecoveryPolicy::full_restart(3));
   EXPECT_EQ(run.attempts, 1);
   EXPECT_FALSE(run.recovered);
   EXPECT_TRUE(run.diagnoses.empty());
@@ -23,12 +25,11 @@ TEST(RecoveryTest, TransientFaultIsRecovered) {
   auto input = util::random_keys(2, 16);
   Adversary glitch;
   glitch.add(drop_message(6, {1, 1}));
-  const auto run = run_sft_with_recovery(
-      4, input, {},
+  const auto run = run_supervised_sort(
+      4, input, {}, RecoveryPolicy::full_restart(3),
       [&glitch](int attempt) -> sim::LinkInterceptor* {
         return attempt == 0 ? &glitch : nullptr;  // gone on retry
-      },
-      3);
+      });
   EXPECT_EQ(run.attempts, 2);
   EXPECT_TRUE(run.recovered);
   ASSERT_EQ(run.diagnoses.size(), 1u);
@@ -39,12 +40,13 @@ TEST(RecoveryTest, PermanentProcessorFaultExhaustsAttempts) {
   auto input = util::random_keys(3, 16);
   sort::SftOptions base;
   base.node_faults[9].halt_at = StagePoint{2, 0};  // permanent
-  const auto run = run_sft_with_recovery(4, input, base, nullptr, 3);
+  const auto run =
+      run_supervised_sort(4, input, base, RecoveryPolicy::full_restart(3));
   EXPECT_EQ(run.attempts, 3);
   EXPECT_FALSE(run.recovered);
   EXPECT_TRUE(run.last.fail_stop());
   ASSERT_EQ(run.diagnoses.size(), 3u);
-  const auto persistent = persistent_suspects(run);
+  const auto persistent = persistent_suspects(run.diagnoses);
   ASSERT_EQ(persistent.size(), 1u);
   EXPECT_EQ(persistent.front(), 9u);
 }
@@ -53,26 +55,25 @@ TEST(RecoveryTest, PermanentLinkFaultYieldsStablePair) {
   auto input = util::random_keys(4, 16);
   Adversary dead;
   dead.add(dead_link(3, 2, {1, 0}));
-  const auto run = run_sft_with_recovery(
-      4, input, {},
-      [&dead](int) -> sim::LinkInterceptor* { return &dead; }, 2);
+  const auto run = run_supervised_sort(
+      4, input, {}, RecoveryPolicy::full_restart(2),
+      [&dead](int) -> sim::LinkInterceptor* { return &dead; });
   EXPECT_FALSE(run.recovered);
-  const auto persistent = persistent_suspects(run);
+  const auto persistent = persistent_suspects(run.diagnoses);
   ASSERT_FALSE(persistent.empty());
   // The dead link's endpoints are the persistent candidates.
   for (auto s : persistent) EXPECT_TRUE(s == 2u || s == 3u) << s;
 }
 
 TEST(RecoveryTest, PersistentSuspectsOfDisjointDiagnosesIsEmpty) {
-  RecoveryRun run;
-  run.diagnoses.resize(2);
-  run.diagnoses[0].suspects = {1, 2};
-  run.diagnoses[1].suspects = {3};
-  EXPECT_TRUE(persistent_suspects(run).empty());
+  std::vector<Diagnosis> diagnoses(2);
+  diagnoses[0].suspects = {1, 2};
+  diagnoses[1].suspects = {3};
+  EXPECT_TRUE(persistent_suspects(diagnoses).empty());
 }
 
 TEST(RecoveryTest, NoDiagnosesMeansNoPersistentSuspects) {
-  EXPECT_TRUE(persistent_suspects(RecoveryRun{}).empty());
+  EXPECT_TRUE(persistent_suspects(std::vector<Diagnosis>{}).empty());
 }
 
 TEST(RecoveryTest, InconclusiveDiagnosisDoesNotVacateIntersection) {

@@ -103,6 +103,40 @@ TEST(ShmKill, ExecModeKillVerdictMatches) {
   EXPECT_EQ(classify(exec_run, input), Outcome::kFailStop);
 }
 
+TEST(ShmKill, ExecModeCheckpointAndResumeMatch) {
+  const int dim = 3;
+  SftOptions base;
+  base.block = 2;
+  base.checkpoint = true;
+  auto input = util::random_keys(556, (std::size_t{1} << dim) * 2);
+  auto exec_opts = shm_opts(base);
+  exec_opts.shm.node_binary = AOFT_NODE_PATH;
+
+  auto sim_run = run_sft(dim, input, base);
+  auto exec_run = run_sft(dim, input, exec_opts);
+  EXPECT_EQ(exec_run.output, sim_run.output);
+  EXPECT_EQ(error_keys(exec_run), error_keys(sim_run));
+  ASSERT_EQ(exec_run.checkpoints.size(), sim_run.checkpoints.size());
+  for (std::size_t i = 0; i < sim_run.checkpoints.size(); ++i) {
+    EXPECT_TRUE(exec_run.checkpoints[i].certified);
+    EXPECT_EQ(exec_run.checkpoints[i].state, sim_run.checkpoints[i].state);
+  }
+
+  // Re-enter at the deepest certified boundary: the resume image travels
+  // through the segment to freshly exec'd nodes.
+  auto rs = make_resume_state(sim_run.checkpoints);
+  ASSERT_TRUE(rs.has_value());
+  auto sim_resume = resume_sft(dim, *rs, base);
+  auto exec_resume = resume_sft(dim, *rs, exec_opts);
+  EXPECT_EQ(exec_resume.output, sim_resume.output);
+  EXPECT_EQ(error_keys(exec_resume), error_keys(sim_resume));
+  ASSERT_EQ(exec_resume.checkpoints.size(), sim_resume.checkpoints.size());
+  for (std::size_t i = 0; i < sim_resume.checkpoints.size(); ++i)
+    EXPECT_EQ(exec_resume.checkpoints[i].state,
+              sim_resume.checkpoints[i].state);
+  EXPECT_EQ(classify(exec_resume, input), Outcome::kCorrect);
+}
+
 TEST(ShmKill, SupervisorRecoversFromASigkilledNode) {
   const int dim = 3;
   SftOptions base;

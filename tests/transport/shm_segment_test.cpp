@@ -4,7 +4,7 @@
 
 #include <numeric>
 
-#include "sort/shm_detail.h"
+#include "sort/fleet.h"
 #include "transport/wire.h"
 
 namespace aoft::transport {
@@ -117,8 +117,9 @@ TEST(ShmSegment, FaultScriptsRoundTripThroughWireForm) {
   invert.invert_direction_from = fault::StagePoint{0, 0};
   faults[7] = invert;
 
-  sort::shm_detail::fill_wire_faults(seg, faults);
-  const auto back = sort::shm_detail::faults_from_segment(seg);
+  const auto wire = sort::fleet::wire_faults_of(faults, seg.num_nodes());
+  std::copy(wire.begin(), wire.end(), seg.faults().begin());
+  const auto back = sort::fleet::faults_from_wire(seg.faults());
   ASSERT_EQ(back.size(), 3u);
   ASSERT_TRUE(back.at(2).halt_at.has_value());
   EXPECT_EQ(back.at(2).halt_at->stage, 1);

@@ -187,6 +187,21 @@ TEST(ShmSortCrossCheck, SnrBackendMatchesAndStaysUnprotected) {
   EXPECT_EQ(classify(shm_bad_run, input), classify(sim_bad, input));
 }
 
+TEST(ShmSortCrossCheck, ExecModeSnrMatchesTheOracle) {
+  const int dim = 3;
+  SnrOptions base;
+  base.block = 2;
+  base.node_faults[2].substitute_at = fault::StagePoint{1, 1};
+  base.node_faults[2].substitute_value = 999999;
+  auto input = util::random_keys(78, (std::size_t{1} << dim) * 2);
+  SnrOptions exec = base;
+  exec.backend = transport::Backend::kShm;
+  exec.shm.recv_timeout_s = 5.0;
+  exec.shm.node_binary = AOFT_NODE_PATH;
+  expect_match(run_snr(dim, input, base), run_snr(dim, input, exec), input,
+               "exec snr");
+}
+
 TEST(ShmSortCrossCheck, RejectsInProcessAffordances) {
   auto input = util::random_keys(1, 4);
   SftOptions with_machine;
@@ -199,6 +214,29 @@ TEST(ShmSortCrossCheck, RejectsInProcessAffordances) {
   with_observer.backend = transport::Backend::kShm;
   with_observer.observer = [](const StageSnapshot&) {};
   EXPECT_THROW(run_sft(2, input, with_observer), std::invalid_argument);
+
+  // A stopped shm child never exits: the run would wait out its deadline.
+  SftOptions wedged = shm_opts({});
+  wedged.node_faults[1].halt_at = fault::StagePoint{1, 0};
+  wedged.node_faults[1].wedge_process = true;
+  EXPECT_THROW(run_sft(2, input, wedged), std::invalid_argument);
+
+  // Exec'd nodes rebuild their options from the segment and cannot see an
+  // in-process interceptor: the script would silently run fault-free.
+  struct PassThrough : sim::LinkInterceptor {
+    bool on_send(cube::NodeId, cube::NodeId, sim::Message&) override {
+      return true;
+    }
+  } pass;
+  SftOptions exec_icpt = shm_opts({});
+  exec_icpt.interceptor = &pass;
+  exec_icpt.shm.node_binary = AOFT_NODE_PATH;
+  EXPECT_THROW(run_sft(2, input, exec_icpt), std::invalid_argument);
+  SnrOptions snr_icpt;
+  snr_icpt.backend = transport::Backend::kShm;
+  snr_icpt.interceptor = &pass;
+  snr_icpt.shm.node_binary = AOFT_NODE_PATH;
+  EXPECT_THROW(run_snr(2, input, snr_icpt), std::invalid_argument);
 }
 
 }  // namespace

@@ -186,6 +186,99 @@ TEST(TcpSortCrossCheck, SnrMatchesTheOracle) {
   EXPECT_EQ(classify(tcp_run, input), Outcome::kCorrect);
 }
 
+TEST(TcpSortCrossCheck, ExecModeSnrMatchesTheOracle) {
+  const int dim = 3;
+  SnrOptions base;
+  base.block = 2;
+  base.node_faults[2].substitute_at = fault::StagePoint{1, 1};
+  base.node_faults[2].substitute_value = 999999;
+  auto input = util::random_keys(8778, (std::size_t{1} << dim) * 2);
+  SnrOptions exec = base;
+  exec.backend = transport::Backend::kTcp;
+  exec.tcp.recv_timeout_s = 5.0;
+  exec.tcp.run_deadline_s = 60.0;
+  exec.tcp.node_binary = AOFT_NODE_PATH;
+  expect_match(run_snr(dim, input, base), run_snr(dim, input, exec), input,
+               "exec snr");
+}
+
+void expect_same_checkpoints(const SortRun& sim_run, const SortRun& tcp_run) {
+  ASSERT_EQ(tcp_run.checkpoints.size(), sim_run.checkpoints.size());
+  for (std::size_t i = 0; i < sim_run.checkpoints.size(); ++i) {
+    EXPECT_EQ(tcp_run.checkpoints[i].certified,
+              sim_run.checkpoints[i].certified)
+        << "stage " << sim_run.checkpoints[i].stage;
+    EXPECT_EQ(tcp_run.checkpoints[i].state, sim_run.checkpoints[i].state);
+  }
+}
+
+TEST(TcpSortCrossCheck, ResumeFromCertifiedCheckpointMatches) {
+  const int dim = 3;
+  SftOptions base;
+  base.block = 2;
+  base.checkpoint = true;
+  auto input = util::random_keys(8999, (std::size_t{1} << dim) * 2);
+  auto rs = make_resume_state(run_sft(dim, input, base).checkpoints);
+  ASSERT_TRUE(rs.has_value());
+  auto sim_run = resume_sft(dim, *rs, base);
+  auto tcp_run = resume_sft(dim, *rs, tcp_opts(base));
+  expect_match(sim_run, tcp_run, input, "resume");
+  expect_same_checkpoints(sim_run, tcp_run);
+  EXPECT_EQ(classify(tcp_run, input), Outcome::kCorrect);
+}
+
+TEST(TcpSortCrossCheck, ExecModeCheckpointAndResumeMatch) {
+  const int dim = 3;
+  SftOptions base;
+  base.block = 2;
+  base.checkpoint = true;
+  auto input = util::random_keys(9001, (std::size_t{1} << dim) * 2);
+  auto exec_opts = tcp_opts(base);
+  exec_opts.tcp.node_binary = AOFT_NODE_PATH;
+
+  auto sim_run = run_sft(dim, input, base);
+  auto exec_run = run_sft(dim, input, exec_opts);
+  expect_match(sim_run, exec_run, input, "exec checkpoint");
+  expect_same_checkpoints(sim_run, exec_run);
+
+  // The resume image rides the CONFIG frame to freshly exec'd nodes.
+  auto rs = make_resume_state(sim_run.checkpoints);
+  ASSERT_TRUE(rs.has_value());
+  auto sim_resume = resume_sft(dim, *rs, base);
+  auto exec_resume = resume_sft(dim, *rs, exec_opts);
+  expect_match(sim_resume, exec_resume, input, "exec resume");
+  expect_same_checkpoints(sim_resume, exec_resume);
+}
+
+TEST(TcpSortCrossCheck, RejectsInProcessAffordances) {
+  auto input = util::random_keys(2, 4);
+  SftOptions with_machine = tcp_opts({});
+  sim::Machine mach(cube::Topology{2}, {});
+  with_machine.machine = &mach;
+  EXPECT_THROW(run_sft(2, input, with_machine), std::invalid_argument);
+
+  SftOptions with_observer = tcp_opts({});
+  with_observer.observer = [](const StageSnapshot&) {};
+  EXPECT_THROW(run_sft(2, input, with_observer), std::invalid_argument);
+
+  // Exec'd nodes rebuild their options from CONFIG and cannot see an
+  // in-process interceptor: the script would silently run fault-free.
+  struct PassThrough : sim::LinkInterceptor {
+    bool on_send(cube::NodeId, cube::NodeId, sim::Message&) override {
+      return true;
+    }
+  } pass;
+  SftOptions exec_icpt = tcp_opts({});
+  exec_icpt.interceptor = &pass;
+  exec_icpt.tcp.node_binary = AOFT_NODE_PATH;
+  EXPECT_THROW(run_sft(2, input, exec_icpt), std::invalid_argument);
+  SnrOptions snr_icpt;
+  snr_icpt.backend = transport::Backend::kTcp;
+  snr_icpt.interceptor = &pass;
+  snr_icpt.tcp.node_binary = AOFT_NODE_PATH;
+  EXPECT_THROW(run_snr(2, input, snr_icpt), std::invalid_argument);
+}
+
 TEST(TcpSortCrossCheck, LinkEventTrafficMatchesTheOracle) {
   const int dim = 2;
   SftOptions base;
