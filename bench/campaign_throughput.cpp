@@ -1,13 +1,10 @@
-// Campaign engine throughput: pooled vs unpooled, serial vs parallel, and a
-// worker-placement matrix.
+// Campaign engine throughput: serial vs parallel, and a worker-placement
+// matrix.
 //
 // The §4 campaigns are the statistical backbone of the Theorem 3 claim; how
 // many fault scenarios we can afford bounds how strong that evidence is.
 // This harness times the identical campaign several ways:
 //
-//   unpooled — jobs=1, sim::set_pooling(false), reuse_machines=false: the
-//              construct-everything-per-scenario baseline the pooled hot
-//              path is measured against,
 //   serial   — jobs=1 with pooling and per-worker machine reuse (default),
 //   matrix   — jobs=N under each worker-placement policy (none / compact /
 //              scatter when the host has >= 2 CPUs, plus the --pin policy if
@@ -15,12 +12,11 @@
 //              affinity buys on that runner's topology,
 //   traced   — jobs=N under the --pin policy with tracer + metrics attached.
 //
-// All CampaignSummaries must be bit-identical — pooling, machine reuse,
-// parallelism, placement and tracing are engine concerns, never observable
-// in results.  When the binary links the counting allocation hook
-// (util/alloc_hook.h), per-scenario heap-allocation counts are reported for
-// the unpooled and pooled runs; numbers land in BENCH_campaign.json for CI
-// trend tracking.
+// All CampaignSummaries must be bit-identical — parallelism, placement,
+// batching and tracing are engine concerns, never observable in results.
+// When the binary links the counting allocation hook (util/alloc_hook.h),
+// the serial run's per-scenario heap-allocation count is reported as
+// pooled_allocs_per_scenario; tools/bench_check gates it with a ceiling.
 //
 //   batched  — jobs=N with scenario_batch > 1: workers claim runs of
 //              consecutive slots so a leased machine stays cache-hot across
@@ -195,15 +191,6 @@ int main(int argc, char** argv) {
             << ", alloc hook: " << (util::alloc_hook_active() ? "on" : "off")
             << ")\n";
 
-  // Baseline first, before any pooled run warms thread-local machines: no
-  // key pooling, no machine reuse — a fresh Machine, channel set and vector
-  // per scenario, the engine as it was before the pooled hot path.
-  sim::set_pooling(false);
-  fault::CampaignConfig unpooled_cfg = cfg;
-  unpooled_cfg.reuse_machines = false;
-  const auto unpooled = timed_campaign(unpooled_cfg, 1);
-  sim::set_pooling(true);
-
   const auto serial = timed_campaign(cfg, 1);
 
   // Placement matrix: the same parallel campaign under each policy.  On a
@@ -248,8 +235,7 @@ int main(int argc, char** argv) {
   traced_cfg.metrics = &metrics;
   const auto traced = timed_campaign(traced_cfg, parallel_jobs, headline);
 
-  bool identical = same_summary(serial.summary, unpooled.summary) &&
-                   same_summary(serial.summary, traced.summary) &&
+  bool identical = same_summary(serial.summary, traced.summary) &&
                    same_summary(serial.summary, batched.summary);
   for (const auto& e : matrix)
     identical = identical && same_summary(serial.summary, e.timed.summary);
@@ -262,8 +248,6 @@ int main(int argc, char** argv) {
   const auto per_scenario = [scenarios](const Timed& t) {
     return scenarios > 0 ? static_cast<double>(t.allocs) / scenarios : 0.0;
   };
-  const double pooling_speedup =
-      serial.seconds > 0 ? unpooled.seconds / serial.seconds : 0.0;
   // On a 1-CPU host "parallelism" just adds scheduling overhead; a speedup
   // figure there is misleading (this repo once committed 0.739x from a
   // single-core container as if it were a regression), so it is withheld.
@@ -277,12 +261,8 @@ int main(int argc, char** argv) {
           ? (traced.seconds - parallel->seconds) / parallel->seconds
           : 0.0;
 
-  std::printf("unpooled : %8.3f s  %9.1f scenarios/s  %8.1f allocs/scenario\n",
-              unpooled.seconds, rate(unpooled), per_scenario(unpooled));
-  std::printf(
-      "serial   : %8.3f s  %9.1f scenarios/s  %8.1f allocs/scenario  "
-      "(%.2fx vs unpooled)\n",
-      serial.seconds, rate(serial), per_scenario(serial), pooling_speedup);
+  std::printf("serial   : %8.3f s  %9.1f scenarios/s  %8.1f allocs/scenario\n",
+              serial.seconds, rate(serial), per_scenario(serial));
   for (const auto& e : matrix)
     std::printf("pin=%-8s: %8.3f s  %9.1f scenarios/s  (%d jobs)\n",
                 e.policy.str().c_str(), e.timed.seconds, rate(e.timed),
@@ -313,13 +293,9 @@ int main(int argc, char** argv) {
           "  \"simd\": \"%s\",\n"
           "  \"alloc_hook_active\": %s,\n"
           "  \"scenarios_executed\": %lld,\n"
-          "  \"unpooled_seconds\": %.6f,\n"
-          "  \"unpooled_scenarios_per_sec\": %.2f,\n"
-          "  \"unpooled_allocs_per_scenario\": %.2f,\n"
           "  \"serial_seconds\": %.6f,\n"
           "  \"serial_scenarios_per_sec\": %.2f,\n"
           "  \"pooled_allocs_per_scenario\": %.2f,\n"
-          "  \"pooling_speedup\": %.3f,\n"
           "  \"parallel_jobs\": %d,\n"
           "  \"parallel_seconds\": %.6f,\n"
           "  \"parallel_scenarios_per_sec\": %.2f,\n"
@@ -331,8 +307,7 @@ int main(int argc, char** argv) {
           topo.nodes, headline.str().c_str(),
           util::simd::to_string(aoft::sort::kernels::active_path()),
           util::alloc_hook_active() ? "true" : "false", scenarios,
-          unpooled.seconds, rate(unpooled), per_scenario(unpooled),
-          serial.seconds, rate(serial), per_scenario(serial), pooling_speedup,
+          serial.seconds, rate(serial), per_scenario(serial),
           parallel_jobs, parallel->seconds, rate(*parallel), batch,
           batched.seconds, rate(batched));
   if (speedup_valid)

@@ -283,10 +283,8 @@ SlotOutcome run_slot(FaultClass fclass, const CampaignConfig& cfg,
 // the run's own cost model).  Machine::reset makes the machine observably
 // identical to a fresh one, so leasing never shows in results or traces —
 // it only removes the per-scenario construction and teardown of 2^dim
-// channel/context sets from the hot path.  Returns nullptr when reuse is
-// disabled, which makes the sorts fall back to a machine per run.
-sim::Machine* lease_machine(int dim, bool reuse) {
-  if (!reuse) return nullptr;
+// channel/context sets from the hot path.
+sim::Machine* lease_machine(int dim) {
   thread_local std::unique_ptr<sim::Machine> machine;
   thread_local int machine_dim = -1;
   if (machine_dim != dim) {
@@ -465,7 +463,7 @@ ScenarioResult run_scenario_sft(const Scenario& s, const CampaignConfig& cfg) {
   opts.check_exchange = cfg.check_exchange;
   instantiate(s, adversary, opts.node_faults);
   if (is_link_class(s.fclass)) opts.interceptor = &adversary;
-  opts.machine = lease_machine(s.dim, cfg.reuse_machines);
+  opts.machine = lease_machine(s.dim);
   auto run = sort::run_sft(s.dim, input, opts);
   const bool exercised =
       is_link_class(s.fclass) ? adversary.touched() > 0 : !opts.node_faults.empty();
@@ -474,7 +472,7 @@ ScenarioResult run_scenario_sft(const Scenario& s, const CampaignConfig& cfg) {
   return finish_result(s, run, input, exercised, fired);
 }
 
-ScenarioResult run_scenario_snr(const Scenario& s, const CampaignConfig& cfg) {
+ScenarioResult run_scenario_snr(const Scenario& s, const CampaignConfig&) {
   auto input = util::random_keys(
       s.input_seed, (std::size_t{1} << s.dim) * s.block);
   Adversary adversary;
@@ -484,7 +482,7 @@ ScenarioResult run_scenario_snr(const Scenario& s, const CampaignConfig& cfg) {
   instantiate(s, adversary, nf);
   opts.node_faults = std::move(nf);
   if (is_link_class(s.fclass)) opts.interceptor = &adversary;
-  opts.machine = lease_machine(s.dim, cfg.reuse_machines);
+  opts.machine = lease_machine(s.dim);
   auto run = sort::run_snr(s.dim, input, opts);
   const bool exercised =
       is_link_class(s.fclass) ? adversary.touched() > 0 : !opts.node_faults.empty();
@@ -531,7 +529,7 @@ MultiResult run_multi_scenario_sft(const MultiScenario& ms,
     any_link_fault |= is_link_class(s.fclass);
   }
   if (any_link_fault) opts.interceptor = &adversary;
-  opts.machine = lease_machine(ms.dim, cfg.reuse_machines);
+  opts.machine = lease_machine(ms.dim);
   auto run = sort::run_sft(ms.dim, input, opts);
 
   MultiResult r;
@@ -743,7 +741,7 @@ SlotRecord run_soak_slot(const CampaignConfig& cfg, std::uint64_t g) {
     opts.check_consistency = cfg.check_consistency;
     opts.check_exchange = cfg.check_exchange;
     opts.interceptor = &adversary;
-    opts.machine = lease_machine(cfg.dim, cfg.reuse_machines);
+    opts.machine = lease_machine(cfg.dim);
     auto run = sort::run_sft(cfg.dim, input, opts);
     if (stats.fired == 0) continue;  // no arrival this attempt; redraw
 

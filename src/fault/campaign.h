@@ -157,14 +157,9 @@ struct CampaignConfig {
   // resolved job count actually spins up a pool (jobs != 1); an explicit
   // policy naming an unavailable CPU makes the campaign throw.
   util::PlacementPolicy placement;
-  // Keep one simulated Machine per worker thread, reset() between scenarios,
-  // instead of reconstructing channels/contexts per attempt.  A reset machine
-  // is observably identical to a fresh one, so results and traces do not
-  // depend on this flag; it exists so bench/campaign_throughput can measure
-  // the unpooled construct-per-scenario baseline from the same binary.
-  bool reuse_machines = true;
-  // How many consecutive slots a pool worker claims per grab (>= 1).  Batching
-  // extends reuse_machines: a worker runs `scenario_batch` scenarios back to
+  // How many consecutive slots a pool worker claims per grab (>= 1).  Each
+  // worker keeps one simulated Machine, reset() between scenarios; batching
+  // extends that reuse: a worker runs `scenario_batch` scenarios back to
   // back on its leased machine, so machine state, key pools and the kernel
   // dispatch table stay cache-hot between scenarios instead of being evicted
   // by another worker's claim bouncing the shared counter line.  Like jobs and

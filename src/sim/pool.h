@@ -6,20 +6,14 @@
 // KeyBuf is the vector-like RAII handle protocols hold: acquiring reuses a
 // retired vector's capacity, destroying (or moving-from) returns the storage
 // to the pool.  Pooling is invisible to the wire protocol — message contents,
-// cost charges and trace bytes are identical with pooling on or off.
+// cost charges and trace bytes do not depend on it (EXPERIMENTS.md §11).
 //
 // KeyBuf is a contiguous range of Key (begin()/end() return raw pointers), so
 // it converts implicitly to std::span<Key> / std::span<const Key> and slots
 // into the span-based predicate and blockops APIs unchanged.
-//
-// The global set_pooling(false) switch exists for one consumer only:
-// bench/campaign_throughput's before/after columns, which must measure the
-// unpooled baseline from the same binary.  It is not thread-safe to flip
-// while simulations run.
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -31,18 +25,6 @@ namespace aoft::sim {
 // Sort keys.  The paper's experiments sort 32-bit integers; we store keys in
 // 64 bits so adversaries can also inject out-of-universe values.
 using Key = std::int64_t;
-
-namespace detail {
-inline std::atomic<bool> g_pooling{true};
-}  // namespace detail
-
-// Runtime pooling toggle (benchmark baseline only; flip while idle).
-inline void set_pooling(bool on) {
-  detail::g_pooling.store(on, std::memory_order_relaxed);
-}
-inline bool pooling_enabled() {
-  return detail::g_pooling.load(std::memory_order_relaxed);
-}
 
 // Free list of retired key vectors.  Not thread-safe: each Machine owns one
 // pool and a Machine is single-threaded by construction.
@@ -57,8 +39,11 @@ class KeyPool {
     return {};
   }
 
-  void release(std::vector<Key>&& v) {
-    if (!pooling_enabled() || v.capacity() == 0) return;
+  // Out of line on purpose: inlined into every KeyBuf destructor, this
+  // body made the simulator's message hot paths ~7% slower (sim-campaign
+  // raw call_ms.p10, EXPERIMENTS.md §16.2).
+  [[gnu::noinline]] void release(std::vector<Key>&& v) {
+    if (v.capacity() == 0) return;
     if (free_.size() >= kMaxFree) return;  // let the excess free normally
     v.clear();
     free_.push_back(std::move(v));
@@ -160,6 +145,9 @@ class KeyBuf {
   }
   void assign(std::size_t n, Key k) { v_.assign(n, k); }
   void assign(std::initializer_list<Key> il) { v_.assign(il); }
+  void append(const Key* first, const Key* last) {
+    v_.insert(v_.end(), first, last);
+  }
 
   friend bool operator==(const KeyBuf& a, const KeyBuf& b) {
     return a.v_ == b.v_;

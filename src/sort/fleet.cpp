@@ -68,10 +68,19 @@ WireLog wire_log_of(const sim::Machine& mach) {
 
 // ---- parent side ------------------------------------------------------------
 
+// A harness-side loss (a dropped message, a truncated log) made loud: the
+// run becomes a fail-stop that names the node and what was lost.
+void report_loss(SortRun& run, cube::NodeId p, std::uint32_t count,
+                 const char* what) {
+  if (count == 0) return;
+  run.errors.push_back({p, -1, -1, sim::ErrorSource::kApp,
+                        std::to_string(count) + " " + what});
+}
+
 // Fold node p's published result into `run`: error reports (node order),
-// summary aggregates and link events.  A node the parent had to declare dead
-// published nothing — its fault shows through its peers' kTimeout reports,
-// like a sim halt.
+// any overflow the node counted, summary aggregates and link events.  A
+// node the parent had to declare dead published nothing — its fault shows
+// through its peers' kTimeout reports, like a sim halt.
 template <class Stats>
 void collect_node(SortRun& run, cube::NodeId p, const Stats& st,
                   std::span<const transport::WireError> errors,
@@ -79,6 +88,13 @@ void collect_node(SortRun& run, cube::NodeId p, const Stats& st,
   for (const transport::WireError& w : errors)
     run.errors.push_back({p, w.stage, w.iter,
                           static_cast<sim::ErrorSource>(w.source), w.detail});
+  report_loss(run, p, st.error_overflow,
+              "error reports beyond the published cap were dropped");
+  report_loss(run, p, st.event_overflow,
+              "link events beyond the log capacity were dropped");
+  if constexpr (requires { st.send_overflow; })
+    report_loss(run, p, st.send_overflow,
+                "sends dropped on a full shm ring (ring sizing bug)");
   run.summary.elapsed = std::max(run.summary.elapsed, st.clock);
   run.summary.max_comm = std::max(run.summary.max_comm, st.comm_ticks);
   run.summary.max_comp = std::max(run.summary.max_comp, st.comp_ticks);
@@ -179,12 +195,14 @@ SortRun run_shm(const Job& job, const transport::JobConfig& cfg,
     par.spawn_exec(job.shm.node_binary);
 
   SortRun run;
+  std::uint32_t host_overflow = 0;
   if (host) {
     // The parent is the reliable host, pumping the up-rings and reaping
     // children from the idle path.
     transport::ShmTransport link(seg, transport::kHostRole);
     link.set_host_poll([&par] { par.poll(); });
     run_host(link, cfg, host, run);
+    host_overflow = link.send_overflow();
   }
   par.await_all();
 
@@ -199,6 +217,9 @@ SortRun run_shm(const Job& job, const transport::JobConfig& cfg,
                  events.first(std::min<std::size_t>(slot.event_count,
                                                     events.size())));
   }
+  report_loss(run, 0, host_overflow,
+              "host-to-node sends dropped on a full shm ring (ring sizing "
+              "bug)");
   return run;
 }
 
@@ -304,6 +325,7 @@ int run_node(transport::ShmSegment& seg, cube::NodeId p,
     std::copy_n(log.events.begin(), kept, events.begin());
     slot.event_count = static_cast<std::uint32_t>(kept);
     slot.event_overflow = static_cast<std::uint32_t>(log.events.size() - kept);
+    slot.send_overflow = link.send_overflow();
     slot.state.store(static_cast<std::uint32_t>(transport::SlotState::kDone),
                      std::memory_order_release);
     return 0;

@@ -10,7 +10,9 @@
 // fork+execs) the children, reaps them, and is the authority that turns a
 // vanished process into a kDead status slot — a SIGKILLed child cannot
 // update its own slot, so peers' message-absence detection depends on the
-// parent polling.
+// parent polling.  Its lifetime must nest inside its segment's: the
+// segment may be recycled for the next run once destroyed, and ShmParent's
+// destruction is what guarantees no child still maps it.
 
 #pragma once
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -45,6 +46,30 @@ std::uint64_t ring_block_bytes(const SegmentHeader& hd) {
          ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
 }
 
+// The one retired segment this process keeps for reuse (see the header).
+struct Spare {
+  std::mutex mu;
+  unsigned char* base = nullptr;
+  std::uint64_t size = 0;
+  int fd = -1;
+  pid_t creator = 0;
+};
+
+Spare& spare() {
+  static Spare s;
+  return s;
+}
+
+// The path an exec'd child opens to attach: the creator's memfd via /proc.
+std::string proc_fd_path(pid_t pid, int fd) {
+  return "/proc/" + std::to_string(pid) + "/fd/" + std::to_string(fd);
+}
+
+void unmap(unsigned char* base, std::uint64_t size, int fd) {
+  if (base != nullptr) munmap(base, size);
+  if (fd >= 0) close(fd);
+}
+
 }  // namespace
 
 ShmSegment ShmSegment::create(const Config& cfg) {
@@ -65,16 +90,19 @@ ShmSegment ShmSegment::create(const Config& cfg) {
   // Whole-run ring capacities (see the header comment).  A directed node
   // link carries at most dim+1 messages, each up to a full-cube LBS slice
   // plus the exchange pair; the 2x factor absorbs adversarial growth.
-  const std::uint64_t rec_over = 4 + sizeof(WireMsgHdr);  // length + header
-  const std::uint64_t msg_bytes = rec_over + (2 * m + keys) * sizeof(sim::Key);
+  const auto record = [](std::uint64_t keys_in_msg) {
+    return ShmRing::footprint(sizeof(WireMsgHdr) +
+                              keys_in_msg * sizeof(sim::Key));
+  };
+  const std::uint64_t msg_bytes = record(2 * m + keys);
   hd.link_ring_bytes = next_pow2(
       std::max<std::uint64_t>(4096, 2 * (cfg.dim + 2) * msg_bytes));
   // Up: dim checkpoint uploads (slice-sized), error reports, snr gathers.
-  const std::uint64_t up_bytes = rec_over + (keys + 2 * m + 1) * sizeof(sim::Key);
+  const std::uint64_t up_bytes = record(keys + 2 * m + 1);
   hd.up_ring_bytes = next_pow2(
       std::max<std::uint64_t>(4096, 2 * (cfg.dim + 4) * up_bytes));
   hd.down_ring_bytes =
-      next_pow2(std::max<std::uint64_t>(1024, rec_over + m * sizeof(sim::Key)));
+      next_pow2(std::max<std::uint64_t>(1024, record(m)));
   hd.event_cap =
       cfg.record_events
           ? 8 * static_cast<std::uint32_t>(cfg.dim * cfg.dim + 2 * cfg.dim + 8)
@@ -97,47 +125,43 @@ ShmSegment ShmSegment::create(const Config& cfg) {
   off = align_up(off + n * ring_block_bytes(hd));
   hd.total_bytes = off;
 
-  // A collision-free name: pid + an in-process counter.
-  static std::atomic<std::uint32_t> seq{0};
-  ShmSegment seg;
-  int fd = -1;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    seg.name_ = "/aoft-" + std::to_string(getpid()) + "-" +
-                std::to_string(seq.fetch_add(1));
-    fd = shm_open(seg.name_.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-    if (fd >= 0) break;
-    if (errno != EEXIST) fail_errno("shm_open(" + seg.name_ + ")");
+  ShmSegment seg = take_spare(hd.total_bytes);
+  if (seg.base_ == nullptr) {
+    seg.fd_ = memfd_create("aoft-segment", MFD_CLOEXEC);
+    if (seg.fd_ < 0) fail_errno("memfd_create");
+    if (ftruncate(seg.fd_, static_cast<off_t>(hd.total_bytes)) != 0)
+      fail_errno("ftruncate(segment)");
+    void* base = mmap(nullptr, hd.total_bytes, PROT_READ | PROT_WRITE,
+                      MAP_SHARED, seg.fd_, 0);
+    if (base == MAP_FAILED) fail_errno("mmap(segment)");
+    seg.base_ = static_cast<unsigned char*>(base);
+    seg.size_ = hd.total_bytes;
+    seg.creator_ = getpid();
+    seg.name_ = proc_fd_path(seg.creator_, seg.fd_);
+    // A fresh memfd reads as zeros: the rings' and cursors' initial state.
+  } else {
+    // A recycled segment: everything below the rings and every ring header
+    // starts over; the ring buffers keep stale bytes no reader can reach,
+    // since every cursor restarts at 0.
+    std::memset(seg.base_, 0, hd.off_rings);
   }
-  if (fd < 0) fail_errno("shm_open: no free segment name");
-  if (ftruncate(fd, static_cast<off_t>(hd.total_bytes)) != 0) {
-    close(fd);
-    shm_unlink(seg.name_.c_str());
-    fail_errno("ftruncate(" + seg.name_ + ")");
-  }
-  void* base = mmap(nullptr, hd.total_bytes, PROT_READ | PROT_WRITE,
-                    MAP_SHARED, fd, 0);
-  close(fd);
-  if (base == MAP_FAILED) {
-    shm_unlink(seg.name_.c_str());
-    fail_errno("mmap(" + seg.name_ + ")");
-  }
-  seg.base_ = static_cast<unsigned char*>(base);
-  seg.size_ = hd.total_bytes;
-  seg.owner_ = true;
 
-  // ftruncate zero-fills the mapping, which is already the rings' and
-  // cursors' initial state; the header and the slot atomics get formal
-  // stores so no thread ever reads an object that was never written.
+  // The header and the slot atomics get formal stores so no thread ever
+  // reads an object that was never written.
   std::memcpy(seg.base_, &hd, sizeof hd);
-  for (cube::NodeId p = 0; p < seg.num_nodes(); ++p)
+  for (cube::NodeId p = 0; p < seg.num_nodes(); ++p) {
     seg.slot(p).state.store(static_cast<std::uint32_t>(SlotState::kIdle),
                             std::memory_order_relaxed);
+    for (int k = 0; k < seg.dim(); ++k) seg.link_ring(p, k).reset();
+    seg.up_ring(p).reset();
+    seg.down_ring(p).reset();
+  }
   return seg;
 }
 
 ShmSegment ShmSegment::attach(const std::string& name) {
-  const int fd = shm_open(name.c_str(), O_RDWR, 0600);
-  if (fd < 0) fail_errno("shm_open(" + name + ")");
+  const int fd = open(name.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) fail_errno("open(" + name + ")");
   struct stat st{};
   if (fstat(fd, &st) != 0) {
     close(fd);
@@ -156,7 +180,6 @@ ShmSegment ShmSegment::attach(const std::string& name) {
   seg.name_ = name;
   seg.base_ = static_cast<unsigned char*>(base);
   seg.size_ = size;
-  seg.owner_ = false;
   const auto& hd = seg.header();
   if (std::memcmp(hd.magic, kSegmentMagic, sizeof hd.magic) != 0 ||
       hd.version != kSegmentVersion || hd.total_bytes != size)
@@ -171,7 +194,8 @@ ShmSegment::ShmSegment(ShmSegment&& o) noexcept
     : name_(std::move(o.name_)),
       base_(std::exchange(o.base_, nullptr)),
       size_(std::exchange(o.size_, 0)),
-      owner_(std::exchange(o.owner_, false)) {}
+      fd_(std::exchange(o.fd_, -1)),
+      creator_(std::exchange(o.creator_, 0)) {}
 
 ShmSegment& ShmSegment::operator=(ShmSegment&& o) noexcept {
   if (this != &o) {
@@ -182,8 +206,39 @@ ShmSegment& ShmSegment::operator=(ShmSegment&& o) noexcept {
 }
 
 ShmSegment::~ShmSegment() {
-  if (base_ != nullptr) munmap(base_, size_);
-  if (owner_) shm_unlink(name_.c_str());
+  if (base_ != nullptr && creator_ == getpid()) {
+    Spare& sp = spare();
+    const std::lock_guard<std::mutex> lock(sp.mu);
+    if (sp.base == nullptr) {
+      sp.base = base_;
+      sp.size = size_;
+      sp.fd = fd_;
+      sp.creator = creator_;
+      return;
+    }
+  }
+  unmap(base_, size_, fd_);
+}
+
+ShmSegment ShmSegment::take_spare(std::uint64_t total_bytes) {
+  Spare& sp = spare();
+  const std::lock_guard<std::mutex> lock(sp.mu);
+  ShmSegment seg;
+  // A spare inherited across fork() maps the parent's memory: never reuse
+  // it, never unmap it on the parent's behalf.
+  if (sp.base == nullptr || sp.creator != getpid()) return seg;
+  if (sp.size == total_bytes) {
+    seg.base_ = sp.base;
+    seg.size_ = sp.size;
+    seg.fd_ = sp.fd;
+    seg.creator_ = sp.creator;
+    seg.name_ = proc_fd_path(seg.creator_, seg.fd_);
+  } else {
+    unmap(sp.base, sp.size, sp.fd);
+  }
+  sp.base = nullptr;
+  sp.fd = -1;
+  return seg;
 }
 
 std::span<WireFault> ShmSegment::faults() {

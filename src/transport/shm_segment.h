@@ -16,11 +16,26 @@
 //
 // Rings are sized for the whole run's traffic on their link — S_FT uses each
 // directed link at most dim+1 times — so a push only fails when the protocol
-// misbehaves; senders then count the overflow in their slot rather than
-// block (a dead peer must absorb traffic like a halted sim receiver).
+// misbehaves; senders then drop and count the message rather than block (a
+// dead peer must absorb traffic like a halted sim receiver).  A node
+// publishes its count in its slot, the host keeps its own, and the fleet's
+// collect path reports any drop as an error.
 //
-// The segment is created with shm_open + ftruncate + mmap(MAP_SHARED): fork
-// children inherit the mapping, exec'd children re-open it by name.
+// The segment is an anonymous memfd (memfd_create + ftruncate +
+// mmap(MAP_SHARED)), so no name exists that a crashed parent could leak.
+// Fork children inherit the mapping; exec'd children open the creator's
+// descriptor through /proc/<creator pid>/fd/<n>, which is the segment's
+// name().
+//
+// Recycling: a process keeps one retired segment of its own as a spare.
+// create() reuses it when the new layout has the same total_bytes (and maps
+// a fresh one otherwise), re-initializing the header, faults, slots, events,
+// input, llbs, output and every ring header; only ring buffers keep stale
+// bytes, unreachable because every cursor restarts at 0.  This skips the
+// first-touch page faults, zeroing and teardown of multi-MB rings on every
+// run.  Only the creating process retires a segment, on destruction, and a
+// creator must reap every child that mapped it first: ShmParent's lifetime
+// nests inside the segment's.
 
 #pragma once
 
@@ -28,6 +43,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
+
+#include <sys/types.h>
 
 #include "hypercube/topology.h"
 #include "sim/cost_model.h"
@@ -88,7 +105,7 @@ struct NodeSlot {
   double clock = 0.0, comp_ticks = 0.0, comm_ticks = 0.0;
   std::uint64_t msgs_sent = 0, words_sent = 0;
   std::uint32_t watchdog_rounds = 0;
-  std::uint32_t send_overflow = 0;  // ring-full sends absorbed (sizing bug)
+  std::uint32_t send_overflow = 0;  // ring-full sends dropped (sizing bug)
   std::uint32_t error_count = 0, error_overflow = 0;
   std::uint32_t event_count = 0, event_overflow = 0;
   WireError errors[kMaxSlotErrors] = {};
@@ -114,12 +131,13 @@ class ShmSegment {
     double run_deadline_s = kDefaultRunDeadlineS;
   };
 
-  // Parent side: create, size and zero-init a fresh segment.  Throws
-  // std::runtime_error on any shm/mmap failure and std::invalid_argument on
-  // a job that job_config_error() rejects.
+  // Parent side: lay out a segment for `cfg`, recycling this process's
+  // spare when its size matches, and initialize it.  Throws
+  // std::runtime_error on any memfd/mmap failure and std::invalid_argument
+  // on a job that job_config_error() rejects.
   static ShmSegment create(const Config& cfg);
 
-  // Child side (exec mode): open an existing segment by name and validate
+  // Child side (exec mode): open an existing segment by name() and validate
   // magic/version/size and the job (job_config_error).  Throws
   // std::runtime_error on mismatch.
   static ShmSegment attach(const std::string& name);
@@ -128,7 +146,9 @@ class ShmSegment {
   ShmSegment& operator=(ShmSegment&&) noexcept;
   ShmSegment(const ShmSegment&) = delete;
   ShmSegment& operator=(const ShmSegment&) = delete;
-  ~ShmSegment();  // unmaps; the creating side also shm_unlinks
+  // Unmaps; in the creating process the segment becomes the spare instead
+  // when there is none yet.
+  ~ShmSegment();
 
   const std::string& name() const { return name_; }
   int dim() const { return static_cast<int>(header().dim); }
@@ -153,6 +173,9 @@ class ShmSegment {
 
  private:
   ShmSegment() = default;
+  // This process's spare if it is `total_bytes` long (it is then no longer
+  // the spare), else an empty segment; a spare of another size is unmapped.
+  static ShmSegment take_spare(std::uint64_t total_bytes);
   unsigned char* at(std::uint64_t off) { return base_ + off; }
   // The ring `skip` bytes into node p's ring block.
   ShmRing ring_at(cube::NodeId p, std::uint64_t skip, std::uint64_t bytes);
@@ -160,7 +183,8 @@ class ShmSegment {
   std::string name_;
   unsigned char* base_ = nullptr;
   std::uint64_t size_ = 0;
-  bool owner_ = false;  // the creator unlinks on destruction
+  int fd_ = -1;       // the memfd, kept open by the creator for exec attach
+  pid_t creator_ = 0;  // 0 in an attaching process
 };
 
 }  // namespace aoft::transport

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <bit>
+#include <stdexcept>
 #include <thread>
 
 #include "transport/wire.h"
@@ -10,44 +11,66 @@
 namespace aoft::transport {
 
 namespace {
+
 constexpr auto kIdleNap = std::chrono::microseconds(200);
+
+// Append `n` keys from the record to `buf`, copied straight out of the ring.
+bool take_keys(ShmRing::Record& rec, std::uint32_t n, sim::KeyBuf& buf) {
+  buf.reserve(n);
+  return rec.take(std::uint64_t{n} * sizeof(sim::Key),
+                  [&](const unsigned char* p, std::uint64_t bytes) {
+                    const auto* k = reinterpret_cast<const sim::Key*>(p);
+                    buf.append(k, k + bytes / sizeof(sim::Key));
+                  });
 }
+
+// Decode one record into `out`: the header, then both key arrays.
+void decode_record(ShmRing::Record& rec, sim::KeyPool& pool,
+                   sim::Message& out) {
+  WireMsgHdr h;
+  if (!rec.read(&h, sizeof h))
+    throw std::runtime_error("shm ring record corrupt");
+  message_from_header(h, pool, out);
+  if (!take_keys(rec, h.ndata, out.data) || !take_keys(rec, h.nlbs, out.lbs) ||
+      rec.remaining() != 0)
+    throw std::runtime_error("shm ring record corrupt");
+}
+
+}  // namespace
 
 ShmTransport::ShmTransport(ShmSegment& seg, std::int32_t role)
-    : seg_(seg), role_(role) {
-  scratch_.reserve(4096);
-}
+    : seg_(seg), role_(role) {}
 
-bool ShmTransport::push_ring(ShmRing ring, const sim::Message& m) {
-  encode_message(m, scratch_);
-  return ring.try_push(scratch_.data(),
-                       static_cast<std::uint32_t>(scratch_.size()));
+void ShmTransport::push_ring(ShmRing ring, const sim::Message& m) {
+  const WireMsgHdr h = wire_header(m);
+  // Sized for the whole run, so a full ring is a bug, not backpressure:
+  // absorb the message like a dead peer and count it for the collect path.
+  if (!ring.try_push({{&h, sizeof h},
+                      {m.data.data(), m.data.size() * sizeof(sim::Key)},
+                      {m.lbs.data(), m.lbs.size() * sizeof(sim::Key)}}))
+    ++send_overflow_;
 }
 
 void ShmTransport::send_node(cube::NodeId from, cube::NodeId to,
                              const sim::Message& m) {
-  const int k = std::countr_zero(from ^ to);
-  if (!push_ring(seg_.link_ring(to, k), m))
-    ++seg_.slot(from).send_overflow;  // sized for the whole run: a bug, not
-                                      // backpressure — absorb like a dead peer
+  push_ring(seg_.link_ring(to, std::countr_zero(from ^ to)), m);
 }
 
 void ShmTransport::send_host(cube::NodeId from, const sim::Message& m) {
-  if (!push_ring(seg_.up_ring(from), m)) ++seg_.slot(from).send_overflow;
+  push_ring(seg_.up_ring(from), m);
 }
 
 void ShmTransport::send_from_host(cube::NodeId to, const sim::Message& m) {
-  if (!push_ring(seg_.down_ring(to), m)) ++seg_.slot(to).send_overflow;
+  push_ring(seg_.down_ring(to), m);
 }
 
 std::size_t ShmTransport::pump(sim::KeyPool& pool, const Deliver& deliver) {
   std::size_t delivered = 0;
-  std::vector<unsigned char> rec;
+  sim::Message m;
   const auto drain = [&](ShmRing ring, bool from_host) {
-    while (ring.try_pop(rec)) {
-      sim::Message m(pool);
-      if (!decode_message(rec, pool, m))
-        throw std::runtime_error("shm ring record corrupt");
+    while (ring.try_pop([&](ShmRing::Record& rec) {
+      decode_record(rec, pool, m);
+    })) {
       deliver(from_host, m.from, std::move(m));
       ++delivered;
     }

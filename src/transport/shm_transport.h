@@ -2,8 +2,10 @@
 //
 // Each OS process owns one endpoint — node p (role == p) or the host (role
 // == kHostRole) — and a ShmTransport wired to the shared segment.  Sends
-// encode into the destination's inbound ring; pump drains every ring that
-// feeds the local endpoint.  wait_activity implements message-absence
+// gather the wire header and both key arrays straight into the
+// destination's inbound ring; pump decodes every ring that feeds the local
+// endpoint in place, straight into the message's pooled key buffers — one
+// copy in, one copy out.  wait_activity implements message-absence
 // detection (Environmental Assumption 4) on real time: a blocked node
 // returns "nothing further can arrive" only once every peer it waits on is
 // terminally down (status slot) with its inbound rings drained, or after
@@ -15,7 +17,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "sim/remote.h"
 #include "transport/shm_segment.h"
@@ -38,13 +39,18 @@ class ShmTransport final : public sim::RemoteLink {
   std::size_t pump(sim::KeyPool& pool, const Deliver& deliver) override;
   bool wait_activity(std::span<const cube::NodeId> peers) override;
 
+  // Messages this endpoint dropped because the destination ring was full.
+  // The rings are sized for a whole run, so any drop is a sizing bug; the
+  // fleet's collect path turns a nonzero count into an error report.
+  std::uint32_t send_overflow() const { return send_overflow_; }
+
  private:
-  bool push_ring(ShmRing ring, const sim::Message& m);
+  void push_ring(ShmRing ring, const sim::Message& m);
 
   ShmSegment& seg_;
   std::int32_t role_;
   std::function<void()> host_poll_;
-  std::vector<unsigned char> scratch_;
+  std::uint32_t send_overflow_ = 0;
 
   // One waiting episode: starts when wait_activity first sees no progress,
   // ends when pump delivers something.  The recv timeout bounds the episode.

@@ -1,11 +1,13 @@
-// Wire form of sim::Message for the shared-memory rings.
+// Wire form of sim::Message for the shared-memory rings and tcp frames.
 //
 // Both ends of a segment are the same build on the same machine, so the
 // layout is native-endian PODs: a fixed header followed by the data keys and
-// then the lbs keys.  The sender's logical arrival stamp travels on the wire
-// — receiver clocks advance from it exactly as in the simulator, which is
-// what keeps per-node logical time (and therefore every Φ evaluation and
-// trace line) deterministic across backends.
+// then the lbs keys.  Shm senders gather the header and both key arrays
+// straight into a ring record (ShmTransport); tcp frames go through
+// encode_message/decode_message.  The sender's logical arrival stamp
+// travels on the wire — receiver clocks advance from it exactly as in the
+// simulator, which is what keeps per-node logical time (and therefore every
+// Φ evaluation and trace line) deterministic across backends.
 
 #pragma once
 
@@ -32,9 +34,11 @@ struct WireMsgHdr {
   double arrival = 0.0;
 };
 static_assert(sizeof(WireMsgHdr) == 40);
+static_assert(sizeof(WireMsgHdr) % sizeof(sim::Key) == 0,
+              "keys after the header stay 8-aligned in a shm ring record");
 
-inline void encode_message(const sim::Message& m,
-                           std::vector<unsigned char>& out) {
+// The fixed header describing `m` on the wire.
+inline WireMsgHdr wire_header(const sim::Message& m) {
   WireMsgHdr h;
   h.kind = static_cast<std::uint8_t>(m.kind);
   h.from = static_cast<std::int32_t>(m.from);
@@ -44,6 +48,24 @@ inline void encode_message(const sim::Message& m,
   h.ndata = static_cast<std::uint32_t>(m.data.size());
   h.nlbs = static_cast<std::uint32_t>(m.lbs.size());
   h.arrival = m.arrival;
+  return h;
+}
+
+// A fresh pooled Message carrying `h`'s fields, with empty key buffers.
+inline void message_from_header(const WireMsgHdr& h, sim::KeyPool& pool,
+                                sim::Message& out) {
+  out = sim::Message(pool);
+  out.kind = static_cast<sim::MsgKind>(h.kind);
+  out.from = static_cast<cube::NodeId>(h.from);
+  out.stage = h.stage;
+  out.iter = h.iter;
+  out.tag = h.tag;
+  out.arrival = h.arrival;
+}
+
+inline void encode_message(const sim::Message& m,
+                           std::vector<unsigned char>& out) {
+  const WireMsgHdr h = wire_header(m);
   out.resize(sizeof h + (m.data.size() + m.lbs.size()) * sizeof(sim::Key));
   std::memcpy(out.data(), &h, sizeof h);
   unsigned char* p = out.data() + sizeof h;
@@ -55,7 +77,7 @@ inline void encode_message(const sim::Message& m,
     std::memcpy(p, m.lbs.data(), m.lbs.size() * sizeof(sim::Key));
 }
 
-// Rebuild a pooled Message from one ring record.  False on a malformed
+// Rebuild a pooled Message from one encoded record.  False on a malformed
 // record (truncated, or length fields disagreeing with the payload size) —
 // a harness bug, not a protocol fault, so callers throw.
 inline bool decode_message(std::span<const unsigned char> bytes,
@@ -67,13 +89,7 @@ inline bool decode_message(std::span<const unsigned char> bytes,
       sizeof h +
       (static_cast<std::size_t>(h.ndata) + h.nlbs) * sizeof(sim::Key);
   if (bytes.size() != want) return false;
-  out = sim::Message(pool);
-  out.kind = static_cast<sim::MsgKind>(h.kind);
-  out.from = static_cast<cube::NodeId>(h.from);
-  out.stage = h.stage;
-  out.iter = h.iter;
-  out.tag = h.tag;
-  out.arrival = h.arrival;
+  message_from_header(h, pool, out);
   const auto* keys =
       reinterpret_cast<const sim::Key*>(bytes.data() + sizeof h);
   out.data.assign(keys, keys + h.ndata);

@@ -36,13 +36,13 @@ TEST(KeyPoolTest, ReleaseIgnoresEmptyCapacity) {
   EXPECT_EQ(pool.free_count(), 0u);
 }
 
-TEST(KeyPoolTest, DisabledPoolingDropsReleases) {
+TEST(KeyPoolTest, FullPoolDropsReleases) {
+  // The free list is bounded: past its cap, released storage frees normally
+  // instead of growing the pool without limit.
   KeyPool pool;
-  set_pooling(false);
-  std::vector<Key> v(8, 1);
-  pool.release(std::move(v));
-  set_pooling(true);
-  EXPECT_EQ(pool.free_count(), 0u);
+  for (int i = 0; i < 1000; ++i) pool.release(std::vector<Key>(8, 1));
+  EXPECT_GT(pool.free_count(), 0u);
+  EXPECT_LT(pool.free_count(), 1000u);
 }
 
 TEST(KeyBufTest, DestructionReturnsStorageToPool) {

@@ -117,18 +117,14 @@ TEST(AllocRegressionTest, SteadyStateCountIsBlockSizeIndependent) {
   EXPECT_LE(large, small + 4);
 }
 
-// The whole point, quantified: pooling plus machine reuse removes at least
-// 90% of the heap traffic of a scenario run.
+// The whole point, quantified: with pooling and machine reuse a warm dim-4
+// run makes a few dozen bookkeeping allocations (41 with GCC 12).  Before
+// pooling, a dim-4 campaign scenario made ~460 (EXPERIMENTS §11); the
+// ceiling sits far below that.
 TEST(AllocRegressionTest, PoolingRemovesAlmostAllAllocations) {
   SKIP_WITHOUT_HOOK();
   const int dim = 4;
   auto input = util::random_keys(77, std::size_t{1} << dim);
-
-  sim::set_pooling(false);
-  const std::uint64_t unpooled = allocs_during([&] {
-    (void)run_sft(dim, input, {});  // fresh machine, no pooling: the old path
-  });
-  sim::set_pooling(true);
 
   sim::Machine machine(cube::Topology{dim}, sim::CostModel{});
   SftOptions opts;
@@ -137,8 +133,7 @@ TEST(AllocRegressionTest, PoolingRemovesAlmostAllAllocations) {
   const std::uint64_t pooled =
       allocs_during([&] { (void)run_sft(dim, input, opts); });
 
-  EXPECT_LT(pooled * 10, unpooled)
-      << "pooled=" << pooled << " unpooled=" << unpooled;
+  EXPECT_LE(pooled, 60u) << "pooled=" << pooled;
 }
 
 // Every kernel on every executable dispatch path is steady-state

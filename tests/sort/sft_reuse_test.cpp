@@ -2,7 +2,7 @@
 // machine must be *observably identical* to running it on a fresh one —
 // output, error reports, cost summary, link-event log, and the serialized
 // observability trace, byte for byte.  The campaign engine leans on this to
-// keep one machine per worker thread (CampaignConfig::reuse_machines).
+// keep one machine per worker thread.
 
 #include <gtest/gtest.h>
 

@@ -54,7 +54,7 @@ TEST(ShmSegment, SlotsStartIdleAndKeyRegionsRoundTrip) {
 TEST(ShmSegment, RingsAreDistinctAndSizedForWholeRunTraffic) {
   auto seg = ShmSegment::create(small_cfg(3, 4));
   const char probe[] = "probe";
-  ASSERT_TRUE(seg.link_ring(5, 1).try_push(probe, sizeof probe));
+  ASSERT_TRUE(seg.link_ring(5, 1).try_push({{probe, sizeof probe}}));
   // Only (to=5, k=1) sees it; neighbours don't.
   EXPECT_TRUE(seg.link_ring(5, 0).empty());
   EXPECT_TRUE(seg.link_ring(5, 2).empty());
@@ -72,7 +72,7 @@ TEST(ShmSegment, RingsAreDistinctAndSizedForWholeRunTraffic) {
   auto ring = seg.link_ring(0, 0);
   std::vector<unsigned char> rec(max_payload, 0x5A);
   for (int i = 0; i < seg.dim() + 1; ++i)
-    ASSERT_TRUE(ring.try_push(rec.data(), rec.size())) << "message " << i;
+    ASSERT_TRUE(ring.try_push({{rec.data(), rec.size()}})) << "message " << i;
 }
 
 TEST(ShmSegment, AttachSeesCreatorWrites) {

@@ -1,11 +1,12 @@
 // aoft_node — per-node launcher for the multi-process transports' exec mode.
 //
-//   aoft_node --segment=/aoft-<pid>-<seq> --node=P            (shm backend)
+//   aoft_node --segment=/proc/<pid>/fd/<n> --node=P           (shm backend)
 //   aoft_node --connect=HOST:PORT --node=P [--listen=ADDR[:PORT]]  (tcp)
 //
 // Shm mode: the parent (aoft_sort_cli --transport=shm --node-bin=..., or any
 // caller setting ShmOptions::node_binary) creates the segment and exec's one
-// of these per hypercube node.  The launcher re-opens the segment by name and
+// of these per hypercube node.  The launcher opens the segment by the path
+// ShmSegment::name() gives (the parent's memfd under /proc) and
 // reconstructs the node program's options from the segment header — exec'd
 // children inherit nothing.
 //
@@ -93,7 +94,7 @@ int main(int argc, char** argv) {
   if ((segment == nullptr) == (connect == nullptr) || node_str == nullptr ||
       !aoft::util::parse_i64(node_str, node) || node < 0) {
     std::fprintf(stderr,
-                 "usage: %s --segment=NAME --node=P\n"
+                 "usage: %s --segment=PATH --node=P\n"
                  "       %s --connect=HOST:PORT --node=P [--listen=ADDR[:PORT]]\n",
                  argv[0], argv[0]);
     return 2;

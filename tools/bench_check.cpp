@@ -1,7 +1,7 @@
 // bench_check — CI perf gate over BENCH_campaign.json and the campaign
 // durability artifacts, plus the transport oracle cross-check.
 //
-//   bench_check FRESH.json REFERENCE.json [--min-pooling-speedup=F]
+//   bench_check FRESH.json REFERENCE.json [--max-pooled-allocs=F]
 //              [--stream=SLOTS.jsonl] [--merge-summary=MERGED.json]
 //              [--kernels=BENCH_kernels.json] [--min-kernel-speedup=F]
 //   bench_check --cross-check SIM_RUN.json SHM_RUN.json
@@ -31,10 +31,11 @@
 //   FAIL when  silent_wrong_total != 0         (Theorem 3 violated),
 //              summaries_identical != true     (engine nondeterminism),
 //              a required key is missing or mistyped,
-//              pooling_speedup < the configured floor (default 1.0 — the
-//              pooled hot path must never be slower than the baseline it
-//              replaced; wall-clock-for-wall-clock on the same runner this
-//              is noise-free enough to gate on),
+//              pooled_allocs_per_scenario > the configured ceiling
+//              (default 50; gated only when alloc_hook_active — a count of
+//              heap allocations, not wall clock, so it is exact on any
+//              runner: a regression in the pooled hot path shows up as
+//              allocations long before it shows up as time),
 //              the speedup/cpus_available contract is broken: hosts with
 //              >= 2 CPUs must report a positive "speedup" number, hosts
 //              with fewer must report "speedup": null plus a
@@ -87,11 +88,9 @@ constexpr const char* kNumKeys[] = {
     "cpus_available",
     "numa_nodes",
     "scenarios_executed",
-    "unpooled_seconds",
-    "unpooled_scenarios_per_sec",
     "serial_seconds",
     "serial_scenarios_per_sec",
-    "pooling_speedup",
+    "pooled_allocs_per_scenario",
     "parallel_jobs",
     "parallel_seconds",
     "parallel_scenarios_per_sec",
@@ -141,7 +140,7 @@ bool check_file(const char* label, const std::string& path, json::Value* out) {
     fail(label, "missing or non-boolean key \"summaries_identical\"");
   else if (!b)
     fail(label, "summaries_identical is false — campaign engine produced "
-                "different results across pooling/jobs/placement");
+                "different results across jobs/placement/batching/tracing");
 
   if (json::get_num(o, "silent_wrong_total", d) && d != 0)
     fail(label, "silent_wrong_total = " + std::to_string(d) +
@@ -525,7 +524,7 @@ void info_diff(const json::Object& fresh, const json::Object& ref,
 int main(int argc, char** argv) {
   const char* fresh_path = nullptr;
   const char* ref_path = nullptr;
-  double min_pooling = 1.0;
+  double max_allocs = 50.0;
   double min_kernel = 1.0;
   std::vector<std::string> stream_paths;
   std::vector<std::string> merge_paths;
@@ -534,10 +533,10 @@ int main(int argc, char** argv) {
   bool usage_error = false;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--min-pooling-speedup=", 22) == 0) {
-      if (!aoft::util::parse_f64(a + 22, min_pooling)) {
-        std::fprintf(stderr, "--min-pooling-speedup: bad value \"%s\"\n",
-                     a + 22);
+    if (std::strncmp(a, "--max-pooled-allocs=", 20) == 0) {
+      if (!aoft::util::parse_f64(a + 20, max_allocs)) {
+        std::fprintf(stderr, "--max-pooled-allocs: bad value \"%s\"\n",
+                     a + 20);
         usage_error = true;
         break;
       }
@@ -576,7 +575,7 @@ int main(int argc, char** argv) {
   if (usage_error || (!artifacts_only && (!fresh_path || !ref_path))) {
     std::fprintf(stderr,
                  "usage: %s FRESH.json REFERENCE.json "
-                 "[--min-pooling-speedup=F]\n"
+                 "[--max-pooled-allocs=F]\n"
                  "       [--stream=SLOTS.jsonl]... "
                  "[--merge-summary=MERGED.json]...\n"
                  "       [--kernels=BENCH_kernels.json]... "
@@ -611,11 +610,14 @@ int main(int argc, char** argv) {
 
   if (fresh_ok) {
     double d = 0;
-    if (json::get_num(fresh_v.object(), "pooling_speedup", d) &&
-        d < min_pooling)
-      fail("fresh", "pooling_speedup " + std::to_string(d) +
-                        " is below the floor " + std::to_string(min_pooling) +
-                        " — the pooled hot path regressed past its baseline");
+    bool hooked = false;
+    if (json::get_bool(fresh_v.object(), "alloc_hook_active", hooked) &&
+        hooked &&
+        json::get_num(fresh_v.object(), "pooled_allocs_per_scenario", d) &&
+        d > max_allocs)
+      fail("fresh", "pooled_allocs_per_scenario " + std::to_string(d) +
+                        " is above the ceiling " + std::to_string(max_allocs) +
+                        " — the pooled hot path allocates again");
   }
 
   if (fresh_ok && ref_ok) {
@@ -623,16 +625,15 @@ int main(int argc, char** argv) {
                 "(never gates):\n");
     const auto& f = fresh_v.object();
     const auto& r = ref_v.object();
-    info_diff(f, r, "unpooled_scenarios_per_sec");
     info_diff(f, r, "serial_scenarios_per_sec");
     info_diff(f, r, "parallel_scenarios_per_sec");
-    info_diff(f, r, "pooling_speedup");
+    info_diff(f, r, "pooled_allocs_per_scenario");
     info_diff(f, r, "trace_overhead");
   }
 
   if (failures == 0) {
-    std::printf("bench_check: OK (%s vs %s, pooling floor %.2fx)\n",
-                fresh_path, ref_path, min_pooling);
+    std::printf("bench_check: OK (%s vs %s, alloc ceiling %.1f/scenario)\n",
+                fresh_path, ref_path, max_allocs);
     return 0;
   }
   std::fprintf(stderr, "bench_check: %d failure(s)\n", failures);
