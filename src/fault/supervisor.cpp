@@ -55,6 +55,33 @@ std::vector<cube::NodeId> to_physical(std::span<const cube::NodeId> logical,
   return out;  // cfg.physical is ascending, so order is preserved
 }
 
+std::vector<sort::Death> to_physical(std::vector<sort::Death> deaths,
+                                     const CubeConfig& cfg) {
+  for (auto& d : deaths) d.node = cfg.physical[d.node];
+  return deaths;
+}
+
+// Sorted union of two ascending id lists.
+std::vector<cube::NodeId> merged(std::span<const cube::NodeId> a,
+                                 std::span<const cube::NodeId> b) {
+  std::vector<cube::NodeId> out;
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
+// RecoveryEvent::node_stages of one S_FT attempt.
+long node_stages(const sort::SortRun& run, const CubeConfig& cfg,
+                 int resume_stage, bool correct) {
+  int last = cfg.dim;
+  if (!correct) {
+    int deepest = -1;
+    for (const auto& e : run.errors) deepest = std::max(deepest, e.stage);
+    if (deepest >= 0) last = std::clamp(deepest, resume_stage, cfg.dim);
+  }
+  return (long{1} << cfg.dim) * (last - resume_stage + 1);
+}
+
 Diagnosis to_physical(Diagnosis d, const CubeConfig& cfg) {
   for (auto& a : d.accusations) {
     a.accuser = cfg.physical[a.accuser];
@@ -207,6 +234,9 @@ SupervisedRun run_supervised_sort(int dim, std::span<const sort::Key> input,
     ev.resume_stage = resume ? resume->stage : 0;
     ev.outcome = outcome;
     ev.ticks = ticks;
+    ev.deaths = to_physical(run.deaths, cfg);
+    ev.node_stages = node_stages(run, cfg, ev.resume_stage,
+                                 outcome == sort::Outcome::kCorrect);
 
     if (outcome == sort::Outcome::kCorrect) {
       out.events.push_back(std::move(ev));
@@ -227,9 +257,14 @@ SupervisedRun run_supervised_sort(int dim, std::span<const sort::Key> input,
     for (const auto& d : era)
       if (!d.suspects.empty()) ++conclusive_count;
     const std::vector<cube::NodeId> persistent = persistent_suspects(era);
+    // Only the host's own sight of a process exit is proof; silence and
+    // backstop deaths are left to the diagnoses above.
+    std::vector<cube::NodeId> exits;  // ascending, as ev.deaths
+    for (const sort::Death& d : ev.deaths)
+      if (d.cause == transport::DeathCause::kExit) exits.push_back(d.node);
 
     ev.suspects = diag.suspects;
-    ev.persistent = persistent;
+    ev.persistent = merged(persistent, exits);
     ev.inconclusive = diag.suspects.empty();
     ev.link_suspected = diag.link_suspected;
     out.events.push_back(std::move(ev));
@@ -246,14 +281,18 @@ SupervisedRun run_supervised_sort(int dim, std::span<const sort::Key> input,
       if (it == cert.end()) cert.push_back(ck);
     }
 
-    // Escalate.  A stable persistent-suspect set (or an exhausted attempt
-    // budget with any persistent evidence) triggers reconfiguration; inside
-    // a configuration, prefer resuming from the deepest certified pair.
+    // Escalate.  A node seen to exit, or a stable persistent-suspect set (or
+    // an exhausted attempt budget with any persistent evidence), triggers
+    // reconfiguration; inside a configuration, prefer resuming from the
+    // deepest certified pair.
     const bool exhausted = config_attempts >= policy.attempts_per_config;
+    const bool stable =
+        conclusive_count >= policy.stable_after || exhausted;
+    const std::vector<cube::NodeId> retire =
+        stable ? merged(persistent, exits) : exits;
     bool reconfigured = false;
-    if (policy.reconfigure && !persistent.empty() &&
-        (conclusive_count >= policy.stable_after || exhausted)) {
-      reconfigured = try_collapse(cfg, persistent, out.retired);
+    if (policy.reconfigure && !retire.empty()) {
+      reconfigured = try_collapse(cfg, retire, out.retired);
       if (reconfigured) {
         if (auto* tr = obs::tracer()) {
           std::string retired_list;
@@ -314,10 +353,11 @@ SupervisedRun run_supervised_sort(int dim, std::span<const sort::Key> input,
     ev.block = original.size();
     ev.outcome = sort::classify(run, original);
     ev.ticks = run.summary.elapsed + pending_ticks;
+    ev.node_stages = (long{1} << dim) * (dim + 1);
     out.total_ticks += ev.ticks;
+    out.outcome = ev.outcome;
     out.events.push_back(std::move(ev));
     ++out.attempts;
-    out.outcome = sort::classify(run, original);
     out.last = std::move(run);
     out.final_rung = Rung::kHostSort;
     out.recovered = failed_before;

@@ -19,7 +19,11 @@
 //      persistent-suspect set (fault/recovery.h); once it is stable the
 //      workload is remapped onto a fault-free subcube that excludes the
 //      suspects (cube::best_excluding_cut, block size doubled per collapsed
-//      dimension) and the sort finishes there;
+//      dimension) and the sort finishes there.  A node whose process the
+//      host saw exit (sort::Death kExit) is conclusive on its own and is
+//      retired after that one attempt; a silence or backstop death, and any
+//      node's accusation of a neighbour, is suspicion and waits for
+//      stability like every other diagnosis;
 //   4. host sequential sort — the terminal rung.  The host and its links are
 //      reliable by Environmental Assumption 2, so this rung cannot fail, and
 //      the ladder therefore always terminates with a correct sorted output.
@@ -68,7 +72,8 @@ struct RecoveryPolicy {
   int attempts_per_config = 3;  // S_FT attempts per configuration (>= 1)
   int max_attempts = 12;        // hard ceiling on S_FT attempts overall
   int stable_after = 2;         // conclusive diagnoses before suspects count
-                                // as persistent (transient-vs-persistent line)
+                                // as persistent (transient-vs-persistent line);
+                                // a kExit death needs none
 
   // Host-side wait before retry k, modelling the grace period that lets
   // transients clear: backoff_ticks * backoff_factor^(k-1) logical ticks,
@@ -101,9 +106,18 @@ struct RecoveryEvent {
   sort::Outcome outcome{};
   double ticks = 0.0;  // attempt elapsed + backoff (+ remap charge on kSubcube)
   std::vector<cube::NodeId> suspects;    // this attempt's diagnosis (physical)
-  std::vector<cube::NodeId> persistent;  // stable intersection so far (physical)
+  std::vector<cube::NodeId> persistent;  // stable intersection so far plus
+                                         // this attempt's kExit deaths
+                                         // (physical)
+  std::vector<sort::Death> deaths;       // host-observed deaths (physical)
   bool inconclusive = false;             // diagnosis produced no suspects
   bool link_suspected = false;
+  // Work the attempt did, in node-stages: configuration nodes × stages from
+  // resume_stage to the deepest stage entered (the final verification is
+  // stage config_dim; a failed attempt ends at the deepest stage any error
+  // report names).  The host-sort rung is charged one fault-free sort,
+  // 2^dim × (dim + 1).
+  long node_stages = 0;
 };
 
 struct SupervisedRun {

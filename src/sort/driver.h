@@ -9,6 +9,7 @@
 
 #include "sim/machine.h"
 #include "sort/keys.h"
+#include "transport/slot_state.h"
 
 namespace aoft::sort {
 
@@ -36,17 +37,30 @@ struct StageCheckpoint {
   bool certified = false;
 };
 
+// A node death the host itself observed (docs/PROTOCOL.md §11, §13.4): a
+// process fabric's parent saw the process end, go silent, or had to kill
+// it.  The simulator records the deaths its scripts model — kill_process as
+// kExit, wedge_process as kSilence — so the three fabrics agree.
+struct Death {
+  cube::NodeId node = 0;
+  transport::DeathCause cause = transport::DeathCause::kExit;
+  bool operator==(const Death&) const = default;
+};
+
 struct SortRun {
   std::vector<Key> output;  // flattened N*m keys, node p's block at [p*m, (p+1)*m)
   std::vector<sim::ErrorReport> errors;
+  std::vector<Death> deaths;  // ascending node ids
   sim::RunSummary summary;
   std::vector<StageCheckpoint> checkpoints;  // when SftOptions::checkpoint
   std::vector<sim::LinkEvent> link_events;   // when SftOptions::record_link_events
 
-  bool fail_stop() const { return !errors.empty(); }
+  // A dead node published nothing, so its death alone is a loud failure.
+  bool fail_stop() const { return !errors.empty() || !deaths.empty(); }
 };
 
-// Classify a finished run against the original input.
+// Classify a finished run against the original input.  Exact: a correct
+// output equals a sorted copy of the input.
 Outcome classify(const SortRun& run, std::span<const Key> input);
 
 // A consistent recovery line: re-enter S_FT at the start of `stage` with

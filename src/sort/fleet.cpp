@@ -77,14 +77,17 @@ void report_loss(SortRun& run, cube::NodeId p, std::uint32_t count,
                         std::to_string(count) + " " + what});
 }
 
-// Fold node p's published result into `run`: error reports (node order),
-// any overflow the node counted, summary aggregates and link events.  A
-// node the parent had to declare dead published nothing — its fault shows
-// through its peers' kTimeout reports, like a sim halt.
+// Fold node p's published result into `run`: its death, if the parent
+// declared one, error reports (node order), any overflow the node counted,
+// summary aggregates and link events.  A node the parent had to declare
+// dead published nothing — its fault shows through its Death and its
+// peers' kTimeout reports, like a sim halt.
 template <class Stats>
-void collect_node(SortRun& run, cube::NodeId p, const Stats& st,
+void collect_node(SortRun& run, cube::NodeId p,
+                  std::optional<transport::DeathCause> death, const Stats& st,
                   std::span<const transport::WireError> errors,
                   std::span<const transport::WireLinkEvent> events) {
+  if (death) run.deaths.push_back({p, *death});
   for (const transport::WireError& w : errors)
     run.errors.push_back({p, w.stage, w.iter,
                           static_cast<sim::ErrorSource>(w.source), w.detail});
@@ -211,7 +214,7 @@ SortRun run_shm(const Job& job, const transport::JobConfig& cfg,
   for (cube::NodeId p = 0; p < seg.num_nodes(); ++p) {
     const transport::NodeSlot& slot = seg.slot(p);
     const auto events = seg.events(p);
-    collect_node(run, p, slot,
+    collect_node(run, p, par.death(p), slot,
                  {slot.errors, std::min(slot.error_count,
                                         transport::kMaxSlotErrors)},
                  events.first(std::min<std::size_t>(slot.event_count,
@@ -278,7 +281,7 @@ SortRun run_tcp(const Job& job, const transport::JobConfig& cfg,
     if (slot.output.size() == m)
       std::copy(slot.output.begin(), slot.output.end(),
                 run.output.begin() + static_cast<std::ptrdiff_t>(p * m));
-    collect_node(run, p, slot.head, slot.errors, slot.events);
+    collect_node(run, p, link.death(p), slot.head, slot.errors, slot.events);
   }
   return run;
 }
@@ -365,6 +368,17 @@ int run_node(transport::TcpNodeEndpoint& ep, cube::NodeId p,
     std::snprintf(head.fail_reason, sizeof head.fail_reason, "%s", e.what());
     ep.finish(transport::SlotState::kFailed, head, {}, {}, {});
     return 1;
+  }
+}
+
+void halt_process(const sim::Ctx& ctx, const fault::NodeFault& f,
+                  std::vector<Death>& deaths) {
+  if (f.kill_process) {
+    if (ctx.remote()) transport::kill_self();
+    deaths.push_back({ctx.id(), transport::DeathCause::kExit});
+  } else if (f.wedge_process) {
+    if (ctx.remote()) transport::wedge_self();
+    deaths.push_back({ctx.id(), transport::DeathCause::kSilence});
   }
 }
 

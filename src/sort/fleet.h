@@ -80,6 +80,13 @@ int run_node(transport::TcpNodeEndpoint& ep, cube::NodeId p,
              const NodeProgram& node,
              sim::LinkInterceptor* interceptor = nullptr);
 
+// A node program reached its scripted halt point under `f`.  In a node
+// process a kill_process or wedge_process script really kills or wedges it
+// here (no return); on the simulator the node halts gracefully, and the
+// death a process fabric's host would observe is appended to `deaths`.
+void halt_process(const sim::Ctx& ctx, const fault::NodeFault& f,
+                  std::vector<Death>& deaths);
+
 // fault::NodeFault scripts <-> their POD wire form, one row per node.
 std::vector<transport::WireFault> wire_faults_of(
     const fault::NodeFaultMap& faults, cube::NodeId num_nodes);

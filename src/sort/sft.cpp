@@ -11,7 +11,6 @@
 #include "sort/blockops.h"
 #include "sort/fleet.h"
 #include "sort/predicates.h"
-#include "transport/process.h"
 
 namespace aoft::sort {
 
@@ -36,6 +35,7 @@ struct SftShared {
   std::span<const Key> input;
   std::vector<Key> output;
   std::vector<CkptUpload> uploads;
+  std::vector<Death> deaths;  // simulator only: scripted process deaths
 
   const fault::NodeFault* fault_for(cube::NodeId p) const {
     auto it = opts.node_faults.find(p);
@@ -269,8 +269,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
 
     for (int j = i; j >= 0; --j) {
       if (st.fault && st.fault->halt_at && fault::reached(*st.fault->halt_at, i, j)) {
-        if (st.fault->kill_process && ctx.remote()) transport::kill_self();
-        if (st.fault->wedge_process && ctx.remote()) transport::wedge_self();
+        fleet::halt_process(ctx, *st.fault, sh.deaths);
         write_out();
         co_return;  // fail-silent; peers' watchdogs flag the absence
       }
@@ -434,8 +433,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
   const double final_t0 = ctx.clock();
   for (int j = fi; j >= 0; --j) {
     if (st.fault && st.fault->halt_at && fault::reached(*st.fault->halt_at, n, j)) {
-      if (st.fault->kill_process && ctx.remote()) transport::kill_self();
-      if (st.fault->wedge_process && ctx.remote()) transport::wedge_self();
+      fleet::halt_process(ctx, *st.fault, sh.deaths);
       write_out();
       co_return;
     }
@@ -674,6 +672,8 @@ SortRun run_on_sim(int dim, SftShared& sh) {
   SortRun run;
   run.output = std::move(sh.output);
   run.errors = machine->errors();
+  run.deaths = std::move(sh.deaths);
+  std::ranges::sort(run.deaths, {}, &Death::node);
   run.summary = machine->summary();
   if (sh.opts.record_link_events) run.link_events = machine->link_events();
   return run;

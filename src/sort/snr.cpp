@@ -14,7 +14,6 @@
 #include "sort/blockops.h"
 #include "sort/fleet.h"
 #include "sort/sequential.h"
-#include "transport/process.h"
 
 namespace aoft::sort {
 
@@ -28,6 +27,7 @@ struct SnrShared {
   bool with_host = false;  // host-verified variant: gather + Theorem-1 check
   std::span<const Key> input;  // view into caller storage, alive for the run
   std::vector<Key> output;
+  std::vector<Death> deaths;  // simulator only: scripted process deaths
 
   const fault::NodeFault* fault_for(cube::NodeId p) const {
     auto it = node_faults.find(p);
@@ -88,8 +88,7 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
 
     for (int j = i; j >= 0; --j) {
       if (fault && fault->halt_at && fault::reached(*fault->halt_at, i, j)) {
-        if (fault->kill_process && ctx.remote()) transport::kill_self();
-        if (fault->wedge_process && ctx.remote()) transport::wedge_self();
+        fleet::halt_process(ctx, *fault, sh.deaths);
         write_out();
         co_return;  // fail-silent: peers see message absence
       }
@@ -215,6 +214,8 @@ SortRun finish(sim::Machine& machine, SnrShared& sh) {
   SortRun run;
   run.output = std::move(sh.output);
   run.errors = machine.errors();
+  run.deaths = std::move(sh.deaths);
+  std::ranges::sort(run.deaths, {}, &Death::node);
   run.summary = machine.summary();
   return run;
 }

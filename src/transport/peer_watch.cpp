@@ -32,10 +32,11 @@ void PeerWatch::mark_finished(int peer, SlotState result) {
   p.state = result;  // kDead -> result: the FINISH beat the watchdog
 }
 
-void PeerWatch::mark_dead(int peer) {
+void PeerWatch::mark_dead(int peer, DeathCause cause) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
-  if (p.state == SlotState::kDone || p.state == SlotState::kFailed) return;
+  if (slot_terminal(p.state)) return;
   p.state = SlotState::kDead;
+  p.cause = cause;
 }
 
 bool PeerWatch::sweep(Time now) {
@@ -46,6 +47,7 @@ bool PeerWatch::sweep(Time now) {
     if (now - p.last_rx >
         std::chrono::duration_cast<Clock::duration>(loss_)) {
       p.state = SlotState::kDead;
+      p.cause = DeathCause::kSilence;
       changed = true;
     }
   }

@@ -14,9 +14,11 @@
 //
 // kDead may later upgrade to kDone/kFailed if a FINISH frame was already in
 // flight when the watchdog fired — results beat timeouts.  All other
-// terminal states are sticky.  `terminal()` uses the shared slot_terminal()
-// predicate, so the supervisor ladder retires a heartbeat-lost tcp peer into
-// the subcube rung by exactly the rule it applies to a SIGKILLed shm child.
+// terminal states are sticky.  A kDead peer keeps the DeathCause of the
+// transition that killed it (first verdict wins): kSilence from the sweep,
+// the caller's cause from mark_dead.  `terminal()` uses the shared
+// slot_terminal() predicate, so a tcp peer ends in the same states a shm
+// child does.
 //
 // The silence rule ARMS per peer only at the first inbound activity
 // (note_activity); mark_up alone never starts the countdown.  A peer is
@@ -32,6 +34,7 @@
 #pragma once
 
 #include <chrono>
+#include <optional>
 #include <vector>
 
 #include "transport/slot_state.h"
@@ -65,9 +68,9 @@ class PeerWatch {
   // kDone/kFailed.
   void mark_finished(int peer, SlotState result);
 
-  // Connection EOF / reset without FINISH: kDead unless already kDone or
-  // kFailed.
-  void mark_dead(int peer);
+  // Connection EOF / reset without FINISH: kDead for `cause` unless already
+  // terminal.
+  void mark_dead(int peer, DeathCause cause);
 
   // Apply the silence rule to every armed kRunning peer; returns true if
   // any peer transitioned to kDead.
@@ -79,6 +82,11 @@ class PeerWatch {
   Time next_deadline() const;
 
   SlotState state(int peer) const { return peers_[peer].state; }
+  // The cause of a kDead peer's death; nullopt for any other state.
+  std::optional<DeathCause> death(int peer) const {
+    const Peer& p = peers_[peer];
+    return p.state == SlotState::kDead ? std::optional(p.cause) : std::nullopt;
+  }
   bool terminal(int peer) const { return slot_terminal(peers_[peer].state); }
   bool all_terminal() const;
 
@@ -87,6 +95,7 @@ class PeerWatch {
     SlotState state = SlotState::kIdle;
     Time last_rx{};
     bool armed = false;  // first inbound activity seen; gates the silence rule
+    DeathCause cause = DeathCause::kExit;  // meaningful while kDead
   };
   std::vector<Peer> peers_;
   std::chrono::duration<double> loss_;

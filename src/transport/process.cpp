@@ -54,6 +54,7 @@ void poll_until(std::vector<pollfd>& pfds, Clock::time_point until) {
 ChildSet::ChildSet(std::size_t slots, double run_deadline_s)
     : pids_(slots, 0),
       pidfds_(slots, -1),
+      fates_(slots, Fate::kNone),
       deadline_(deadline_after(run_deadline_s)) {}
 
 ChildSet::~ChildSet() { kill_and_reap(); }
@@ -85,6 +86,7 @@ pid_t ChildSet::spawn(std::size_t slot, const std::function<int()>& body) {
   }
   pids_[slot] = pid;
   pidfds_[slot] = fd;
+  fates_[slot] = Fate::kSpawned;
   return pid;
 }
 
@@ -130,8 +132,11 @@ void ChildSet::add_pollfds(std::vector<pollfd>& pfds) const {
 
 void ChildSet::kill_all() {
   killed_ = true;
-  for (const pid_t pid : pids_)
-    if (pid != 0) ::kill(pid, SIGKILL);
+  for (std::size_t p = 0; p < pids_.size(); ++p) {
+    if (pids_[p] == 0) continue;
+    ::kill(pids_[p], SIGKILL);
+    fates_[p] = Fate::kKilled;
+  }
 }
 
 void ChildSet::kill_and_reap() {
@@ -154,7 +159,9 @@ bool ChildSet::all_reaped() const {
 // ---- ShmParent --------------------------------------------------------------
 
 ShmParent::ShmParent(ShmSegment& seg)
-    : seg_(seg), children_(seg.num_nodes(), seg.header().run_deadline_s) {}
+    : seg_(seg),
+      children_(seg.num_nodes(), seg.header().run_deadline_s),
+      deaths_(seg.num_nodes()) {}
 
 void ShmParent::spawn_fork(
     const std::function<int(cube::NodeId)>& child_main) {
@@ -176,6 +183,8 @@ void ShmParent::reap(cube::NodeId p, int wstatus) {
   if (WIFSIGNALED(wstatus)) {
     // Crashed or SIGKILLed mid-protocol: this store is what lets waiting
     // peers conclude the node is silent forever.
+    deaths_[p] =
+        children_.killed(p) ? DeathCause::kBackstop : DeathCause::kExit;
     store_state(slot, SlotState::kDead);
     return;
   }

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,11 +80,21 @@ class ChildSet {
   bool all_reaped() const;
   std::size_t size() const { return pids_.size(); }
 
+  // True once a child was forked into `slot`; stays true after the reap.
+  // Only such a child's end is something this parent can have seen.
+  bool spawned(std::size_t slot) const { return fates_[slot] != Fate::kNone; }
+  // True once this set SIGKILLed the child in `slot` (run deadline, grace
+  // kill or teardown) while it was still unreaped; stays true after the
+  // reap.  A death that follows is the parent's backstop, not the node's.
+  bool killed(std::size_t slot) const { return fates_[slot] == Fate::kKilled; }
+
  private:
   void reap(std::size_t slot, int wstatus, const OnReap& on_reap);
 
   std::vector<pid_t> pids_;  // 0: never spawned or already reaped
   std::vector<int> pidfds_;  // open exactly while pids_[slot] != 0
+  enum class Fate : std::uint8_t { kNone, kSpawned, kKilled };
+  std::vector<Fate> fates_;
   Clock::time_point deadline_;
   bool killed_ = false;
 };
@@ -102,9 +113,9 @@ class ShmParent {
 
   // Reap exits without blocking and keep the status slots truthful: a child
   // that died by signal (or exited without publishing a terminal state)
-  // becomes kDead/kFailed here.  Enforces the run deadline by killing the
-  // fleet once it expires.  Safe to call repeatedly; host wait loops call it
-  // on every iteration.
+  // becomes kDead/kFailed here, and a kDead one gets its death() cause.
+  // Enforces the run deadline by killing the fleet once it expires.  Safe to
+  // call repeatedly; host wait loops call it on every iteration.
   void poll();
 
   // Block until every child is reaped, waking on child exits (and at the
@@ -113,11 +124,16 @@ class ShmParent {
 
   bool all_reaped() const;
 
+  // Why node p's slot became kDead, if it did: kExit when the child died by
+  // a signal of its own, kBackstop when this parent had SIGKILLed it.
+  std::optional<DeathCause> death(cube::NodeId p) const { return deaths_[p]; }
+
  private:
   void reap(cube::NodeId p, int wstatus);
 
   ShmSegment& seg_;
   ChildSet children_;
+  std::vector<std::optional<DeathCause>> deaths_;
 };
 
 // The fail-stop injection for the shm backend: die the way a crashed node

@@ -2,9 +2,9 @@
 //
 // The shm backend stores a SlotState in each NodeSlot of the mmap'd segment;
 // the tcp backend tracks the same states per peer in PeerWatch.  Keeping the
-// enum in one header means "terminal" means exactly one thing everywhere:
-// the supervisor ladder retires a kDead tcp peer into the subcube rung by
-// the same rule it uses for a SIGKILLed shm child.
+// enums in one header means "terminal" and each DeathCause mean exactly one
+// thing everywhere: the supervisor ladder retires a forked tcp child whose
+// host link hit EOF by the same rule it uses for a SIGKILLed shm child.
 
 #pragma once
 
@@ -28,6 +28,26 @@ inline const char* to_string(SlotState s) {
     case SlotState::kDone: return "done";
     case SlotState::kFailed: return "failed";
     case SlotState::kDead: return "dead";
+  }
+  return "?";
+}
+
+// Why the host declared a node dead (docs/PROTOCOL.md §11, §13.4).  Only the
+// parent's own observation sets one; a node reporting a neighbour's EOF is
+// an accusation, not a DeathCause.
+enum class DeathCause : std::uint8_t {
+  kExit,      // the process ended without publishing: shm reaped it killed
+              // by a signal, tcp saw the host link of a forked child EOF
+  kSilence,   // the host's heartbeat-loss sweep fired (a wedged or slow
+              // peer), or a pinned node's host link hit EOF
+  kBackstop,  // the parent SIGKILLed it: run deadline or await_exits' grace
+};
+
+inline const char* to_string(DeathCause c) {
+  switch (c) {
+    case DeathCause::kExit: return "exit";
+    case DeathCause::kSilence: return "silence";
+    case DeathCause::kBackstop: return "backstop";
   }
   return "?";
 }

@@ -115,6 +115,15 @@ void add_conn_fds(std::vector<pollfd>& pfds, std::span<const TcpConn> conns,
   }
 }
 
+// Why node p's host link ended without a FINISH.  Only a child this parent
+// forked has an end the host can have seen: kBackstop if the parent had
+// SIGKILLed it, kExit otherwise.  A pinned or external node's EOF may be a
+// network reset of a healthy node, so it is mere silence.
+DeathCause eof_cause(const ChildSet* children, cube::NodeId p) {
+  if (children == nullptr || !children->spawned(p)) return DeathCause::kSilence;
+  return children->killed(p) ? DeathCause::kBackstop : DeathCause::kExit;
+}
+
 }  // namespace
 
 // ---- TcpConn ----------------------------------------------------------------
@@ -456,7 +465,9 @@ bool TcpNodeEndpoint::service() {
     }
     if (c.reader().malformed())
       throw std::runtime_error("tcp: corrupt stream from peer");
-    if (c.eof() && k >= 0) watch_.mark_dead(k);
+    // A neighbour's EOF only steers this node's own waits; the host never
+    // sees this verdict (it would be an accusation, not an observation).
+    if (c.eof() && k >= 0) watch_.mark_dead(k, DeathCause::kExit);
   };
 
   drain(parent_, -1, true);
@@ -698,7 +709,8 @@ bool TcpHostEndpoint::service() {
       throw std::runtime_error("tcp: corrupt stream from node " +
                                std::to_string(p));
     if (c.eof()) {
-      watch_.mark_dead(static_cast<int>(p));  // kDone/kFailed stay put
+      // kDone/kFailed stay put.
+      watch_.mark_dead(static_cast<int>(p), eof_cause(children_, p));
       c.close_fd();
     } else {
       c.flush();

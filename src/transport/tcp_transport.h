@@ -223,7 +223,9 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   // zombies and enforce the run deadline (mirrors ShmTransport's hook).
   // When `poll` reaps `children`, pass them too: the rendezvous then also
   // wakes on their pidfds, so a child that dies before HELLO is reaped at
-  // once rather than at the next connection event.
+  // once rather than at the next connection event.  `children` also decides
+  // an EOF's death cause: kExit only for a child of that set, kBackstop
+  // after the set's own SIGKILL, kSilence for any other node.
   void set_host_poll(std::function<void()> poll,
                      const ChildSet* children = nullptr) {
     host_poll_ = std::move(poll);
@@ -249,6 +251,13 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   void await_all();
 
   TcpSlot& slot(cube::NodeId p) { return slots_[p]; }
+  // Why node p was declared dead, if it was: kExit on a host-link EOF or
+  // reset without FINISH from a child the parent forked, kBackstop on an
+  // EOF the parent's own SIGKILL caused, kSilence on heartbeat loss or on a
+  // pinned node's EOF (first verdict wins).
+  std::optional<DeathCause> death(cube::NodeId p) const {
+    return watch_.death(static_cast<int>(p));
+  }
 
   // sim::RemoteLink
   void send_node(cube::NodeId from, cube::NodeId to,

@@ -91,7 +91,7 @@ TEST(PeerWatch, FinishBeatsTheWatchdog) {
   w.mark_finished(0, SlotState::kDone);
   EXPECT_EQ(w.state(0), SlotState::kDone);
   // ... and the upgrade is sticky against later EOF/sweeps.
-  w.mark_dead(0);
+  w.mark_dead(0, DeathCause::kExit);
   EXPECT_FALSE(w.sweep(t0() + std::chrono::hours(2)))
       << "a terminal peer is no longer subject to the silence rule";
   EXPECT_EQ(w.state(0), SlotState::kDone);
@@ -101,9 +101,34 @@ TEST(PeerWatch, FinishBeatsTheWatchdog) {
 TEST(PeerWatch, EofKillsWithoutWaitingForTheDeadline) {
   PeerWatch w(1, 60.0);
   w.mark_up(0, t0());
-  w.mark_dead(0);  // connection EOF: the kernel FINs a SIGKILLed process
+  // Connection EOF: the kernel FINs a SIGKILLed process.
+  w.mark_dead(0, DeathCause::kExit);
   EXPECT_EQ(w.state(0), SlotState::kDead);
+  EXPECT_EQ(w.death(0), DeathCause::kExit);
   EXPECT_TRUE(w.all_terminal());
+}
+
+TEST(PeerWatch, FirstDeathVerdictWins) {
+  PeerWatch w(2, 1.0);
+  for (int p = 0; p < 2; ++p) {
+    w.mark_up(p, t0());
+    w.note_activity(p, t0());
+  }
+  EXPECT_EQ(w.death(0), std::nullopt) << "a running peer has no death";
+  // Peer 0 goes silent first; the EOF that follows (e.g. the parent's grace
+  // kill of a wedged process) must not rewrite the cause.
+  w.note_activity(1, t0() + milliseconds(900));
+  EXPECT_TRUE(w.sweep(t0() + milliseconds(1500)));
+  EXPECT_EQ(w.death(0), DeathCause::kSilence);
+  w.mark_dead(0, DeathCause::kBackstop);
+  EXPECT_EQ(w.death(0), DeathCause::kSilence);
+  // Peer 1's EOF lands first; a later sweep cannot turn it into silence.
+  w.mark_dead(1, DeathCause::kExit);
+  EXPECT_FALSE(w.sweep(t0() + std::chrono::hours(1)));
+  EXPECT_EQ(w.death(1), DeathCause::kExit);
+  // A FINISH in flight when the sweep fired clears the death altogether.
+  w.mark_finished(0, SlotState::kDone);
+  EXPECT_EQ(w.death(0), std::nullopt);
 }
 
 TEST(PeerWatch, DisabledSilenceRuleNeverSweeps) {
@@ -113,7 +138,7 @@ TEST(PeerWatch, DisabledSilenceRuleNeverSweeps) {
   EXPECT_FALSE(w.sweep(t0() + std::chrono::hours(24)));
   EXPECT_EQ(w.state(0), SlotState::kRunning);
   EXPECT_EQ(w.next_deadline(), Time::max());
-  w.mark_dead(0);  // EOF still applies
+  w.mark_dead(0, DeathCause::kExit);  // EOF still applies
   EXPECT_EQ(w.state(0), SlotState::kDead);
 }
 
@@ -206,6 +231,14 @@ TEST(TcpWedge, SupervisorRetiresAWedgedNode) {
   EXPECT_TRUE(run.recovered);
   ASSERT_FALSE(run.retired.empty());
   EXPECT_EQ(run.retired.front(), 1u);
+  // Heartbeat loss is suspicion, not proof: unlike a kExit death it waits
+  // for a second conclusive diagnosis (DeathCause.SimWedge... is the sim
+  // half of this case).
+  EXPECT_EQ(run.attempts, 3);
+  EXPECT_EQ(run.final_rung, fault::Rung::kSubcube);
+  for (int a = 0; a < 2; ++a)
+    EXPECT_EQ(run.events[a].deaths,
+              (std::vector<sort::Death>{{1, DeathCause::kSilence}}));
 }
 
 }  // namespace

@@ -31,7 +31,8 @@
 // (or the sim, degrading it to a graceful halt) can tell apart from a slow
 // peer — the shm parent's waitpid authority cannot, so --wedge rejects
 // --transport=shm.  --emit-run writes a canonical aoft-run-v1 JSON record
-// of the run (parameters, outcome, sorted error tuples, output checksum);
+// of the run (parameters, outcome, sorted error tuples, every attempt's
+// host-observed deaths with their cause, output checksum);
 // bench_check --cross-check compares two of them across transports.
 // --trace-links writes the run's per-message link events as a canonically
 // sorted JSONL trace for trace_inspect --diff.
@@ -39,7 +40,9 @@
 // Prints the outcome, timing summary and (with --diagnose) the host-side
 // fault localization.  With --recover the run goes through the recovery
 // supervisor (fault/supervisor.h) and every escalation-ladder attempt is
-// printed; --transient confines the injected fault to the first attempt.
+// printed with its suspects and deaths (e.g. "dead = 1(exit)"); a --kill
+// node is retired after one attempt, since the host saw it exit.
+// --transient confines the injected fault to the first attempt.
 // Exit status: 0 = correct, 2 = fail-stop detected, 3 = silent wrong (only
 // reachable with --algo=snr under faults).
 //
@@ -504,13 +507,28 @@ bool finish_trace(const Args& args, const char* mode,
   return true;
 }
 
+// A host-observed death and the attempt it happened in (0 for a single run).
+struct AttemptDeath {
+  int attempt = 0;
+  sort::Death death;
+};
+
+std::vector<AttemptDeath> deaths_of(const fault::SupervisedRun& run) {
+  std::vector<AttemptDeath> out;
+  for (const auto& ev : run.events)
+    for (const sort::Death& d : ev.deaths) out.push_back({ev.attempt, d});
+  return out;
+}
+
 // Write the canonical aoft-run-v1 record (--emit-run): run parameters,
-// outcome, error tuples sorted by (node, stage, iter, source), and — unless
-// the script killed a node, whose block is then intentionally unwritten — an
-// fnv1a64 checksum of the output keys.  bench_check --cross-check compares
-// two of these across transports; everything but "transport" must match.
+// outcome, error tuples sorted by (node, stage, iter, source), every
+// attempt's host-observed deaths, and — unless the script killed a node,
+// whose block is then intentionally unwritten — an fnv1a64 checksum of the
+// output keys.  bench_check --cross-check compares two of these across
+// transports; everything but "transport" must match.
 bool emit_run_file(const Args& args, const sort::SortRun& run,
-                   sort::Outcome outcome, int attempts, bool recovered) {
+                   sort::Outcome outcome, int attempts, bool recovered,
+                   const std::vector<AttemptDeath>& deaths) {
   if (args.emit_run.empty()) return true;
   auto errs = run.errors;
   std::sort(errs.begin(), errs.end(), [](const auto& x, const auto& y) {
@@ -541,6 +559,15 @@ bool emit_run_file(const Args& args, const sort::SortRun& run,
     j += ",\"stage\":" + std::to_string(errs[i].stage);
     j += ",\"iter\":" + std::to_string(errs[i].iter);
     j += ",\"source\":" + obs::json::escape(sim::to_string(errs[i].source));
+    j += "}";
+  }
+  j += "],\"deaths\":[";
+  for (std::size_t i = 0; i < deaths.size(); ++i) {
+    if (i > 0) j += ",";
+    j += "{\"attempt\":" + std::to_string(deaths[i].attempt);
+    j += ",\"node\":" + std::to_string(deaths[i].death.node);
+    j += ",\"cause\":" +
+         obs::json::escape(transport::to_string(deaths[i].death.cause));
     j += "}";
   }
   j += "]";
@@ -875,6 +902,11 @@ int main(int argc, char** argv) {
           for (auto s : ev.suspects) std::printf(" %u", s);
           if (ev.link_suspected) std::printf(" (link)");
         }
+        if (!ev.deaths.empty()) {
+          std::printf("  dead =");
+          for (const auto& d : ev.deaths)
+            std::printf(" %u(%s)", d.node, transport::to_string(d.cause));
+        }
         std::printf("\n");
       }
       if (!run.retired.empty()) {
@@ -889,7 +921,8 @@ int main(int argc, char** argv) {
                   run.total_ticks);
     }
     if (!finish_trace(args, "supervised", tracer, metrics)) return 1;
-    if (!emit_run_file(args, run.last, outcome, run.attempts, run.recovered))
+    if (!emit_run_file(args, run.last, outcome, run.attempts, run.recovered,
+                       deaths_of(run)))
       return 1;
     switch (outcome) {
       case sort::Outcome::kCorrect: return 0;
@@ -939,6 +972,9 @@ int main(int argc, char** argv) {
     for (const auto& e : run.errors)
       std::printf("error: node %u stage %d iter %d %s: %s\n", e.node, e.stage,
                   e.iter, sim::to_string(e.source), e.detail.c_str());
+    for (const auto& d : run.deaths)
+      std::printf("dead: node %u (%s)\n", d.node,
+                  transport::to_string(d.cause));
     if (args.diagnose && !run.errors.empty()) {
       const auto d = fault::localize(run.errors, args.dim);
       std::printf("diagnosis: suspects =");
@@ -948,7 +984,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!finish_trace(args, "single", tracer, metrics)) return 1;
-  if (!emit_run_file(args, run, outcome, 1, false)) return 1;
+  std::vector<AttemptDeath> deaths;
+  for (const sort::Death& d : run.deaths) deaths.push_back({0, d});
+  if (!emit_run_file(args, run, outcome, 1, false, deaths)) return 1;
   if (!emit_link_trace(args, run)) return 1;
   switch (outcome) {
     case sort::Outcome::kCorrect: return 0;

@@ -8,11 +8,12 @@
 //
 // --cross-check compares two aoft-run-v1 records (aoft_sort_cli
 // --emit-run=...) from the *same* fault script on different transports: the
-// run parameters, outcome, canonical error tuples, output checksum (when
-// both runs carry one — kill scripts intentionally omit it), and recovery
-// summary must all agree.  The "transport" field is the one key allowed to
-// differ; anything else failing is a backend divergence, which Theorem 3's
-// oracle contract (docs/PROTOCOL.md §11) forbids.
+// run parameters, outcome, canonical error tuples, host-observed deaths
+// (attempt, node, cause), output checksum (when both runs carry one — kill
+// scripts intentionally omit it), and recovery summary must all agree.  The
+// "transport" field is the one key allowed to differ; anything else failing
+// is a backend divergence, which Theorem 3's oracle contract
+// (docs/PROTOCOL.md §11) forbids.
 //
 // --stream validates a campaign slot stream (aoft_sort_cli --stream=...):
 // a schema header line plus one structurally sound record per slot, global
@@ -444,6 +445,49 @@ std::string error_tuple(const json::Object& e) {
          std::to_string(static_cast<long long>(iter)) + "," + source + ")";
 }
 
+// One host-observed death as "(attempt,node,cause)".
+std::string death_tuple(const json::Object& d) {
+  double attempt = -1, node = -1;
+  std::string cause;
+  json::get_num(d, "attempt", attempt);
+  json::get_num(d, "node", node);
+  json::get_str(d, "cause", cause);
+  return "(" + std::to_string(static_cast<long long>(attempt)) + "," +
+         std::to_string(static_cast<long long>(node)) + "," + cause + ")";
+}
+
+// The `key` arrays of two run records must hold equal tuples in order.
+void compare_entries(const json::Object& a, const json::Object& b,
+                     const std::string& key,
+                     std::string (*tuple)(const json::Object&)) {
+  const char* label = "cross-check";
+  const auto ea = a.find(key);
+  const auto eb = b.find(key);
+  if (ea == a.end() || eb == b.end() || !ea->second.is_array() ||
+      !eb->second.is_array()) {
+    fail(label, "missing \"" + key + "\" array");
+    return;
+  }
+  const auto& arr_a = ea->second.array();
+  const auto& arr_b = eb->second.array();
+  if (arr_a.size() != arr_b.size()) {
+    fail(label, key + " counts differ: " + std::to_string(arr_a.size()) +
+                    " vs " + std::to_string(arr_b.size()));
+    return;
+  }
+  for (std::size_t i = 0; i < arr_a.size(); ++i) {
+    if (!arr_a[i].is_object() || !arr_b[i].is_object()) {
+      fail(label, "malformed " + key + " entry " + std::to_string(i));
+      return;
+    }
+    const std::string ta = tuple(arr_a[i].object());
+    const std::string tb = tuple(arr_b[i].object());
+    if (ta != tb)
+      fail(label, key + " tuple " + std::to_string(i) + " differs: " + ta +
+                      " vs " + tb);
+  }
+}
+
 // Compare two aoft-run-v1 records from the same fault script on different
 // transports.  Everything but "transport" must agree.
 void check_cross(const std::string& path_a, const std::string& path_b) {
@@ -476,32 +520,8 @@ void check_cross(const std::string& path_a, const std::string& path_b) {
       || ra != rb)
     fail(label, "\"recovered\" differs");
 
-  const auto ea = a.find("errors");
-  const auto eb = b.find("errors");
-  if (ea == a.end() || eb == b.end() || !ea->second.is_array() ||
-      !eb->second.is_array()) {
-    fail(label, "missing \"errors\" array");
-  } else {
-    const auto& arr_a = ea->second.array();
-    const auto& arr_b = eb->second.array();
-    if (arr_a.size() != arr_b.size()) {
-      fail(label,
-           "error counts differ: " + std::to_string(arr_a.size()) + " vs " +
-               std::to_string(arr_b.size()));
-    } else {
-      for (std::size_t i = 0; i < arr_a.size(); ++i) {
-        if (!arr_a[i].is_object() || !arr_b[i].is_object()) {
-          fail(label, "malformed errors entry " + std::to_string(i));
-          break;
-        }
-        const std::string ta = error_tuple(arr_a[i].object());
-        const std::string tb = error_tuple(arr_b[i].object());
-        if (ta != tb)
-          fail(label, "error tuple " + std::to_string(i) + " differs: " + ta +
-                          " vs " + tb);
-      }
-    }
-  }
+  compare_entries(a, b, "errors", error_tuple);
+  compare_entries(a, b, "deaths", death_tuple);
 
   std::string trans_a = "?", trans_b = "?";
   json::get_str(a, "transport", trans_a);
