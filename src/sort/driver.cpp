@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sort/blockops.h"
+
 namespace aoft::sort {
 
 const char* to_string(Outcome o) {
@@ -18,7 +20,7 @@ Outcome classify(const SortRun& run, std::span<const Key> input) {
   // A correct output is exactly the input sorted, so one sort of a copy of
   // the input and one compare reject a wrong size, order or multiset alike.
   std::vector<Key> sorted(input.begin(), input.end());
-  std::sort(sorted.begin(), sorted.end());
+  blockops::sort_dir(sorted, true);
   return sorted == run.output ? Outcome::kCorrect : Outcome::kSilentWrong;
 }
 

@@ -41,7 +41,7 @@ struct NodeJob {
 };
 
 // Runs node p's program for `job` on `mach` — a one-node machine already
-// wired to the fabric — and copies the node's final block into `out`.
+// wired to the fabric — with the node writing its final block into `out`.
 // Forked and exec'd nodes alike build their state from `job`.
 using NodeProgram = void (*)(const NodeJob& job, sim::Machine& mach,
                              cube::NodeId p, std::span<Key> out);

@@ -7,8 +7,8 @@
 //     executed N·log2 N times (the theoretical comparison minimum), so the
 //     baseline is as favourable to the host as possible; we do the same by
 //     charging host_cmp · K·log2 K ticks while producing the actual sorted
-//     output with std::sort.  Communication is O(N) but pays the serial
-//     per-word host-link cost both ways: the host is the bottleneck.
+//     output with blockops::sort_dir.  Communication is O(N) but pays the
+//     serial per-word host-link cost both ways: the host is the bottleneck.
 //
 //   * host-verified parallel sort — nodes ship the unsorted data to the
 //     host, sort among themselves with the unprotected S_NR, then ship the

@@ -33,7 +33,10 @@ struct SftShared {
   // Views into caller storage (alive for the whole run): no per-run copy.
   std::span<const Key> resume_llbs;  // resume_sft: C_{start_stage-1}, full cube
   std::span<const Key> input;
-  std::vector<Key> output;
+  // Where finished blocks land: the whole cube's output on the simulator; in
+  // a node process, only that node's m-key slot of its fabric (out_first).
+  std::span<Key> output;
+  cube::NodeId out_first = 0;
   std::vector<CkptUpload> uploads;
   std::vector<Death> deaths;  // simulator only: scripted process deaths
 
@@ -197,11 +200,12 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
               sh.input.begin() + static_cast<std::ptrdiff_t>((me + 1) * m));
   auto write_out = [&] {
     std::copy(st.a.begin(), st.a.end(),
-              sh.output.begin() + static_cast<std::ptrdiff_t>(me * m));
+              sh.output.begin() +
+                  static_cast<std::ptrdiff_t>((me - sh.out_first) * m));
   };
 
   if (n == 0) {  // single node: a local sort, nothing to verify against peers
-    blockops::sort_dir(st.a, true);
+    blockops::sort_dir(st.a, true, ctx.pool());
     ctx.charge(local_sort_cost(cm, m));
     write_out();
     co_return;
@@ -216,7 +220,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
     // invariant holds from i = 0).  With m = 1 the direction is vacuous,
     // matching Fig. 3.
     st.cur_asc = cube::subcube_sorted_ascending(0, me);
-    blockops::sort_dir(st.a, st.cur_asc);
+    blockops::sort_dir(st.a, st.cur_asc, ctx.pool());
     ctx.charge(local_sort_cost(cm, m));
   } else {
     // Resuming from a host-certified checkpoint: the block arrives already
@@ -258,7 +262,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
     if (st.fault && st.fault->substitute_at && st.fault->substitute_at->stage == i) {
       // Consistent liar: fabricate an element everywhere, including own gossip.
       st.a[0] = st.fault->substitute_value;
-      blockops::sort_dir(st.a, st.cur_asc);
+      blockops::sort_dir(st.a, st.cur_asc, ctx.pool());
       reset_lbs();
     }
     if (asc != st.cur_asc) {
@@ -301,7 +305,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
             co_return;
           }
           theirs.resize(m, 0);
-          blockops::sort_dir(theirs, st.cur_asc);
+          blockops::sort_dir(theirs, st.cur_asc, ctx.pool());
         }
         ctx.charge(cm.cmp * static_cast<double>(m));
         if (sh.opts.check_exchange && j == i) {
@@ -614,17 +618,17 @@ SftShared shared_of(const fleet::NodeJob& job) {
   sh.opts.node_faults = job.faults;
   sh.input = job.input;
   sh.resume_llbs = job.llbs;
-  sh.output.assign(sh.input.size(), 0);
   return sh;
 }
 
-// Node p's S_FT program inside its own process, forked or exec'd.
+// Node p's S_FT program inside its own process, forked or exec'd.  The node
+// writes its block straight into the fabric's `out` slot.
 void process_node(const fleet::NodeJob& job, sim::Machine& mach,
                   cube::NodeId p, std::span<Key> out) {
   SftShared sh = shared_of(job);
+  sh.output = out;
+  sh.out_first = p;
   mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); });
-  std::copy_n(sh.output.begin() + static_cast<std::ptrdiff_t>(p * sh.m), sh.m,
-              out.begin());
 }
 
 SortRun run_on_fleet(SftShared& sh) {
@@ -662,7 +666,8 @@ SortRun run_on_sim(int dim, SftShared& sh) {
   }
   machine->set_interceptor(sh.opts.interceptor);
   machine->record_link_events(sh.opts.record_link_events);
-  sh.output.assign(sh.input.size(), 0);
+  std::vector<Key> output(sh.input.size(), 0);
+  sh.output = output;
   if (sh.opts.checkpoint)
     machine->run([&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); },
                  [&sh](sim::HostCtx& host) { return ckpt_collector(host, sh); });
@@ -670,7 +675,7 @@ SortRun run_on_sim(int dim, SftShared& sh) {
     machine->run([&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); });
 
   SortRun run;
-  run.output = std::move(sh.output);
+  run.output = std::move(output);
   run.errors = machine->errors();
   run.deaths = std::move(sh.deaths);
   std::ranges::sort(run.deaths, {}, &Death::node);

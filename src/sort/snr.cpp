@@ -26,7 +26,10 @@ struct SnrShared {
   int dim = 0;
   bool with_host = false;  // host-verified variant: gather + Theorem-1 check
   std::span<const Key> input;  // view into caller storage, alive for the run
-  std::vector<Key> output;
+  // Where finished blocks land: the whole cube's output on the simulator; in
+  // a node process, only that node's m-key slot of its fabric (out_first).
+  std::span<Key> output;
+  cube::NodeId out_first = 0;
   std::vector<Death> deaths;  // simulator only: scripted process deaths
 
   const fault::NodeFault* fault_for(cube::NodeId p) const {
@@ -55,7 +58,8 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
   sim::KeyBuf merged(ctx.pool());
   auto write_out = [&] {
     std::copy(a.begin(), a.end(),
-              sh.output.begin() + static_cast<std::ptrdiff_t>(me * m));
+              sh.output.begin() +
+                  static_cast<std::ptrdiff_t>((me - sh.out_first) * m));
   };
 
   if (sh.with_host) {
@@ -68,7 +72,7 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
 
   bool completed = true;
   bool cur_asc = n > 0 ? cube::stage_ascending(me, 0) : true;
-  blockops::sort_dir(a, cur_asc);
+  blockops::sort_dir(a, cur_asc, ctx.pool());
   ctx.charge(local_sort_cost(cm, m));
 
   for (int i = 0; i < n && completed; ++i) {
@@ -78,7 +82,7 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
       asc = !asc;
     if (fault && fault->substitute_at && fault->substitute_at->stage == i) {
       a[0] = fault->substitute_value;
-      blockops::sort_dir(a, cur_asc);
+      blockops::sort_dir(a, cur_asc, ctx.pool());
     }
     if (asc != cur_asc) {
       blockops::reverse_block(a);
@@ -103,8 +107,9 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
         ctx.account_recv(r.msg);
         sim::KeyBuf theirs = std::move(r.msg.data);
         if (theirs.size() != m) theirs.resize(m, 0);  // Byzantine garbage
+        // S_NR trusts the operand and repairs only its shape.
         if (!blockops::is_sorted_dir(theirs, cur_asc))
-          blockops::sort_dir(theirs, cur_asc);  // S_NR trusts, repairs shape only
+          blockops::sort_dir(theirs, cur_asc, ctx.pool());
         merged.resize(2 * m);
         blockops::merge_dir_into(a, theirs, cur_asc, merged);
         ctx.charge(cm.cmp * static_cast<double>(2 * m));
@@ -131,7 +136,8 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
         ctx.account_recv(r.msg);
         a = std::move(r.msg.data);
         if (a.size() != m) a.resize(m, 0);
-        if (!blockops::is_sorted_dir(a, cur_asc)) blockops::sort_dir(a, cur_asc);
+        if (!blockops::is_sorted_dir(a, cur_asc))
+          blockops::sort_dir(a, cur_asc, ctx.pool());
       }
     }
   }
@@ -210,9 +216,9 @@ sim::SimTask verify_host(sim::HostCtx& host, SnrShared& sh) {
   co_return;
 }
 
-SortRun finish(sim::Machine& machine, SnrShared& sh) {
+SortRun finish(sim::Machine& machine, SnrShared& sh, std::vector<Key> output) {
   SortRun run;
-  run.output = std::move(sh.output);
+  run.output = std::move(output);
   run.errors = machine.errors();
   run.deaths = std::move(sh.deaths);
   std::ranges::sort(run.deaths, {}, &Death::node);
@@ -241,17 +247,17 @@ SnrShared shared_of(const fleet::NodeJob& job) {
   sh.cost = job.cfg.cost;
   sh.node_faults = job.faults;
   sh.input = job.input;
-  sh.output.assign(sh.input.size(), 0);
   return sh;
 }
 
-// Node p's S_NR program inside its own process, forked or exec'd.
+// Node p's S_NR program inside its own process, forked or exec'd.  The node
+// writes its block straight into the fabric's `out` slot.
 void process_node(const fleet::NodeJob& job, sim::Machine& mach,
                   cube::NodeId p, std::span<Key> out) {
   SnrShared sh = shared_of(job);
+  sh.output = out;
+  sh.out_first = p;
   mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); });
-  std::copy_n(sh.output.begin() + static_cast<std::ptrdiff_t>(p * sh.m), sh.m,
-              out.begin());
 }
 
 }  // namespace
@@ -277,7 +283,8 @@ SortRun run_snr(int dim, std::span<const Key> input, const SnrOptions& opts) {
   sh.node_faults = opts.node_faults;
   sh.dim = dim;
   sh.input = input;
-  sh.output.assign(input.size(), 0);
+  std::vector<Key> output(input.size(), 0);
+  sh.output = output;
 
   std::optional<sim::Machine> owned;
   sim::Machine* machine = opts.machine;
@@ -292,7 +299,7 @@ SortRun run_snr(int dim, std::span<const Key> input, const SnrOptions& opts) {
   }
   machine->set_interceptor(opts.interceptor);
   machine->run([&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); });
-  return finish(*machine, sh);
+  return finish(*machine, sh, std::move(output));
 }
 
 SortRun run_host_verified_snr(int dim, std::span<const Key> input,
@@ -305,13 +312,14 @@ SortRun run_host_verified_snr(int dim, std::span<const Key> input,
   sh.dim = dim;
   sh.with_host = true;
   sh.input = input;
-  sh.output.assign(input.size(), 0);
+  std::vector<Key> output(input.size(), 0);
+  sh.output = output;
 
   sim::Machine machine(cube::Topology{dim}, opts.cost);
   machine.set_interceptor(opts.interceptor);
   machine.run([&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); },
               [&sh](sim::HostCtx& host) { return verify_host(host, sh); });
-  return finish(machine, sh);
+  return finish(machine, sh, std::move(output));
 }
 
 namespace detail {

@@ -19,6 +19,7 @@
 
 #include "sim/machine.h"
 #include "sim/pool.h"
+#include "sort/blockops.h"
 #include "sort/kernels.h"
 #include "sort/predicates.h"
 #include "sort/sft.h"
@@ -96,7 +97,8 @@ TEST(AllocRegressionTest, WarmSftRunStaysNearZero) {
 }
 
 // The residual per-run count must not scale with the block size: block keys
-// ride exclusively in pooled buffers.
+// ride exclusively in pooled buffers, the radix sort's scratch included once
+// the block reaches blockops::kRadixCutoff.
 TEST(AllocRegressionTest, SteadyStateCountIsBlockSizeIndependent) {
   SKIP_WITHOUT_HOOK();
   const int dim = 3;
@@ -112,9 +114,11 @@ TEST(AllocRegressionTest, SteadyStateCountIsBlockSizeIndependent) {
   };
   const std::uint64_t small = measure(1);
   const std::uint64_t large = measure(16);
+  const std::uint64_t radix = measure(2 * blockops::kRadixCutoff);
   // 16x the keys per message must not mean more allocations — the counts are
   // equal up to noise (both are a handful of fixed bookkeeping allocations).
   EXPECT_LE(large, small + 4);
+  EXPECT_LE(radix, small + 4) << "small=" << small << " radix=" << radix;
 }
 
 // The whole point, quantified: with pooling and machine reuse a warm dim-4
