@@ -1,6 +1,8 @@
 #include "sort/driver.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <stdexcept>
 
 #include "sort/blockops.h"
 
@@ -22,6 +24,17 @@ Outcome classify(const SortRun& run, std::span<const Key> input) {
   std::vector<Key> sorted(input.begin(), input.end());
   blockops::sort_dir(sorted, true);
   return sorted == run.output ? Outcome::kCorrect : Outcome::kSilentWrong;
+}
+
+void require_cube_keys(const char* what, int dim, std::size_t block,
+                       std::size_t got) {
+  const std::size_t want = (std::size_t{1} << dim) * block;
+  if (got == want) return;
+  char msg[192];
+  std::snprintf(msg, sizeof msg,
+                "%s: expected %zu keys (2^%d nodes x block %zu), got %zu", what,
+                want, dim, block, got);
+  throw std::invalid_argument(msg);
 }
 
 std::optional<ResumeState> make_resume_state(

@@ -79,6 +79,14 @@ struct ResumeState {
 std::optional<ResumeState> make_resume_state(
     std::span<const StageCheckpoint> checkpoints);
 
+// The size contract of every sort entry point: `got` keys must be one
+// block of `block` keys per node of the dim-`dim` cube.  Throws
+// std::invalid_argument naming `what` and both sizes otherwise, in every
+// build type: a wrong-sized input would be read (sim) or copied into the
+// segment (shm) past its end.
+void require_cube_keys(const char* what, int dim, std::size_t block,
+                       std::size_t got);
+
 struct SftOptions;  // sort/sft.h
 
 // Resume-from-stage entry point: run the tail of S_FT (stages rs.stage..n-1

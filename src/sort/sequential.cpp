@@ -4,7 +4,6 @@
 #include "sort/sequential.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "sort/blockops.h"
@@ -75,7 +74,7 @@ sim::SimTask host_sort_host(sim::HostCtx& host, HostSortShared& sh) {
 
 SortRun run_host_sort(int dim, std::span<const Key> input,
                       const HostSortOptions& opts) {
-  assert(input.size() == (std::size_t{1} << dim) * opts.block);
+  require_cube_keys("run_host_sort input", dim, opts.block, input.size());
   HostSortShared sh;
   sh.opts = opts;
   sh.dim = dim;

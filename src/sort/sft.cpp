@@ -1,6 +1,5 @@
 #include "sort/sft.h"
 
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -706,7 +705,7 @@ SortRun run_sft_impl(int dim, SftShared& sh) {
 }  // namespace
 
 SortRun run_sft(int dim, std::span<const Key> input, const SftOptions& opts) {
-  assert(input.size() == (std::size_t{1} << dim) * opts.block);
+  require_cube_keys("run_sft input", dim, opts.block, input.size());
   SftShared sh;
   sh.opts = opts;
   sh.dim = dim;
@@ -718,9 +717,10 @@ SortRun run_sft(int dim, std::span<const Key> input, const SftOptions& opts) {
 // Declared in sort/driver.h next to ResumeState; lives here with the node
 // program it re-enters.
 SortRun resume_sft(int dim, const ResumeState& rs, const SftOptions& opts) {
-  assert(rs.stage >= 1 && rs.stage < dim);
-  assert(rs.blocks.size() == (std::size_t{1} << dim) * opts.block);
-  assert(rs.llbs.size() == rs.blocks.size());
+  if (rs.stage < 1 || rs.stage >= dim)
+    throw std::invalid_argument("resume_sft: stage outside [1, dim)");
+  require_cube_keys("resume_sft blocks", dim, opts.block, rs.blocks.size());
+  require_cube_keys("resume_sft llbs", dim, opts.block, rs.llbs.size());
   SftShared sh;
   sh.opts = opts;
   sh.dim = dim;

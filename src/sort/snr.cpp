@@ -5,7 +5,6 @@
 #include "sort/snr.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -263,7 +262,7 @@ void process_node(const fleet::NodeJob& job, sim::Machine& mach,
 }  // namespace
 
 SortRun run_snr(int dim, std::span<const Key> input, const SnrOptions& opts) {
-  assert(input.size() == (std::size_t{1} << dim) * opts.block);
+  require_cube_keys("run_snr input", dim, opts.block, input.size());
   if (opts.backend != transport::Backend::kSim)
     return fleet::run({.backend = opts.backend,
                        .shm = opts.shm,
@@ -304,7 +303,8 @@ SortRun run_snr(int dim, std::span<const Key> input, const SnrOptions& opts) {
 
 SortRun run_host_verified_snr(int dim, std::span<const Key> input,
                               const HostVerifyOptions& opts) {
-  assert(input.size() == (std::size_t{1} << dim) * opts.block);
+  require_cube_keys("run_host_verified_snr input", dim, opts.block,
+                    input.size());
   SnrShared sh;
   sh.m = opts.block;
   sh.cost = opts.cost;

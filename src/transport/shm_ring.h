@@ -14,6 +14,20 @@
 // the pieces straight into the ring, and try_pop hands the consumer the
 // record in place (Record::read/take) before releasing its bytes.
 //
+// On segment memory the producer calls prefault(len) before a multi-page
+// push.  A freshly forked or exec'd child starts with no page-table entries
+// for the segment, so without it the copy would trap once per 4 KiB page it
+// writes, even though a recycled segment's pages already sit in the page
+// cache.  MADV_POPULATE_READ over the record's page span maps them in a few
+// read faults instead: shmem's fault-around maps up to 16 cached pages per
+// fault, writable at once (shmem needs no dirty tracking), and the copy then
+// runs fault-free.  It is a hint: kernels before 5.14 reject it (EINVAL) and
+// the copy faults page by page as before, with the same bytes.  Fault-around
+// may also map up to 15 neighbouring pages beyond the record; they hold stale
+// bytes outside every published record, which no reader can reach.  Private
+// anonymous buffers must not be prefaulted: a read fault there maps the zero
+// page, and every later write would take a copy-on-write fault.
+//
 // Exactly one process writes (the link's sender) and one reads (the
 // receiver), which is all the sorting protocols need: every hypercube link
 // is point-to-point and directed, and the host links are per-node.  The
@@ -27,6 +41,13 @@
 #include <cstring>
 #include <initializer_list>
 #include <stdexcept>
+
+#include <sys/mman.h>
+#include <unistd.h>
+
+#ifndef MADV_POPULATE_READ
+#define MADV_POPULATE_READ 22  // Linux >= 5.14; older kernels return EINVAL
+#endif
 
 namespace aoft::transport {
 
@@ -89,6 +110,20 @@ class ShmRing {
     }
     hdr_->tail.store(tail + need, std::memory_order_release);
     return true;
+  }
+
+  // Producer side, segment memory only (see the file comment): map the
+  // pages the next record of `len` payload bytes will occupy, at most two
+  // spans split at the wrap point.  A record that fits in one page, or that
+  // is larger than the whole ring, skips the syscall; failure is ignored.
+  void prefault(std::uint64_t len) const {
+    static const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+    const std::uint64_t need = footprint(len);
+    if (need <= page || need > cap_) return;
+    const std::uint64_t at = hdr_->tail.load(std::memory_order_relaxed) & mask_;
+    const std::uint64_t first = need < cap_ - at ? need : cap_ - at;
+    populate(buf_ + at, first, page);
+    if (need > first) populate(buf_, need - first, page);
   }
 
   // The record try_pop hands its consumer: a read cursor over the payload,
@@ -167,6 +202,14 @@ class ShmRing {
     std::memcpy(dst, buf_ + at, first);
     if (n > first)
       std::memcpy(static_cast<unsigned char*>(dst) + first, buf_, n - first);
+  }
+
+  // MADV_POPULATE_READ over the whole pages covering [p, p + n).
+  static void populate(unsigned char* p, std::uint64_t n, std::uint64_t page) {
+    const auto lo = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+    const auto hi =
+        (reinterpret_cast<std::uintptr_t>(p) + n + page - 1) & ~(page - 1);
+    (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_POPULATE_READ);
   }
 
   ShmRingHdr* hdr_ = nullptr;

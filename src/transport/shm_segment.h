@@ -36,6 +36,12 @@
 // run.  Only the creating process retires a segment, on destruction, and a
 // creator must reap every child that mapped it first: ShmParent's lifetime
 // nests inside the segment's.
+//
+// Recycled pages stay in the page cache, but every new child maps the
+// segment with no page-table entries of its own, so ShmTransport prefaults
+// each multi-page ring push rather than trap once per 4 KiB page.  See
+// ShmRing::prefault (shm_ring.h) for the Linux >= 5.14 requirement and the
+// stale neighbouring pages fault-around may map, which no reader can reach.
 
 #pragma once
 

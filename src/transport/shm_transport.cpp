@@ -43,11 +43,14 @@ ShmTransport::ShmTransport(ShmSegment& seg, std::int32_t role)
 
 void ShmTransport::push_ring(ShmRing ring, const sim::Message& m) {
   const WireMsgHdr h = wire_header(m);
+  const std::uint64_t data_bytes = m.data.size() * sizeof(sim::Key);
+  const std::uint64_t lbs_bytes = m.lbs.size() * sizeof(sim::Key);
+  ring.prefault(sizeof h + data_bytes + lbs_bytes);
   // Sized for the whole run, so a full ring is a bug, not backpressure:
   // absorb the message like a dead peer and count it for the collect path.
   if (!ring.try_push({{&h, sizeof h},
-                      {m.data.data(), m.data.size() * sizeof(sim::Key)},
-                      {m.lbs.data(), m.lbs.size() * sizeof(sim::Key)}}))
+                      {m.data.data(), data_bytes},
+                      {m.lbs.data(), lbs_bytes}}))
     ++send_overflow_;
 }
 
