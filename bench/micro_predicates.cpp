@@ -161,6 +161,78 @@ BENCHMARK(BM_SortDir)
     ->ArgNames({"n", "radix"})
     ->ArgsProduct({{64, 1024, 4096, 65536, 262144}, {0, 1}});
 
+// Reference loop vs merge-path kernel (sort/kernels.h) on rotating fresh
+// inputs, like BM_SortDir: a fixture the branch predictor has already
+// learned would flatter the reference's data-dependent branches.
+// BM_Merge merges two sorted `run`-key runs; BM_PhiF scans an `n`-key window
+// that passes (a random two-run split of a sorted sequence, as a clean
+// stage boundary produces).
+void BM_Merge(benchmark::State& state) {
+  const auto run = static_cast<std::size_t>(state.range(0));
+  const bool kernel = state.range(1) != 0;
+  const std::size_t sets = std::max<std::size_t>(4, (std::size_t{1} << 20) / run);
+  auto keys = util::random_keys(11, sets * 2 * run);
+  for (std::size_t k = 0; k < 2 * sets; ++k)
+    std::sort(keys.begin() + static_cast<std::ptrdiff_t>(k * run),
+              keys.begin() + static_cast<std::ptrdiff_t>((k + 1) * run));
+  std::vector<sort::Key> out(2 * run);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const sort::Key* a = keys.data() + next * 2 * run;
+    next = (next + 1) % sets;
+    if (kernel)
+      sort::kernels::merge({a, run}, {a + run, run}, true, out);
+    else
+      sort::kernels::detail::merge_reference(a, run, a + run, run, true,
+                                             out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * run));
+}
+BENCHMARK(BM_Merge)
+    ->ArgNames({"run", "kernel"})
+    ->ArgsProduct({{1024, 65536, 262144}, {0, 1}});
+
+void BM_PhiF(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool kernel = state.range(1) != 0;
+  const std::size_t sets = std::max<std::size_t>(4, (std::size_t{1} << 20) / n);
+  std::vector<sort::Key> lbs = util::random_keys(13, sets * n);
+  std::vector<sort::Key> llbs(sets * n);
+  util::Rng rng(17);
+  for (std::size_t k = 0; k < sets; ++k) {
+    sort::Key* sorted = lbs.data() + k * n;
+    sort::Key* runs = llbs.data() + k * n;
+    std::sort(sorted, sorted + n);
+    // Each key joins the lower (ascending) or upper (descending) run by a
+    // fair coin, both runs filled up to n/2 and n - n/2.
+    std::size_t lo = 0, hi = n;
+    for (std::size_t t = 0; t < n; ++t) {
+      const bool lower = lo < n / 2 && (hi == n / 2 || (rng.next_u64() & 1));
+      if (lower)
+        runs[lo++] = sorted[t];
+      else
+        runs[--hi] = sorted[t];
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const sort::Key* l = llbs.data() + next * n;
+    const sort::Key* v = lbs.data() + next * n;
+    next = (next + 1) % sets;
+    const std::int64_t idx =
+        kernel ? sort::kernels::phi_f_scan({l, n}, {v, n}, true)
+               : sort::kernels::detail::phi_f_scan_reference(l, v, n, true);
+    if (idx != -1) state.SkipWithError("Phi_F fixture must pass");
+    benchmark::DoNotOptimize(idx);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PhiF)
+    ->ArgNames({"n", "kernel"})
+    ->ArgsProduct({{1024, 65536, 262144}, {0, 1}});
+
 // ---- SIMD kernel sweep -----------------------------------------------------
 
 // Minimum measured time per (kernel, size, table) sample; three samples are

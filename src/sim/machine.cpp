@@ -29,20 +29,42 @@ bool Ctx::remote() const { return machine_->remote(); }
 
 KeyPool& Ctx::pool() { return machine_->pool_; }
 
-void Ctx::send(cube::NodeId to, Message m) {
+// The send-path helpers are forced inline: Ctx::send and Machine::deliver
+// run once per simulated message, and a campaign sends millions of them.
+[[gnu::always_inline]] inline void Ctx::check_link(cube::NodeId to) const {
   // Always-on invariant (not an assert: protocol code paths that pick a wrong
   // partner must fail loudly in release builds too).
   if (!machine_->topo_.adjacent(id_, to))
     throw std::logic_error("node links join neighbors only: node " +
                            std::to_string(id_) + " cannot send to " +
                            std::to_string(to));
+}
+
+[[gnu::always_inline]] inline void Ctx::stamp_send(Message& m, double cost,
+                                                  std::size_t words) {
   m.from = id_;
-  const double cost = machine_->cost_.msg_cost(m.words());
   stats_.clock += cost;
   stats_.comm_ticks += cost;
   stats_.msgs_sent += 1;
-  stats_.words_sent += m.words();
+  stats_.words_sent += words;
   m.arrival = stats_.clock;
+}
+
+void Ctx::send(cube::NodeId to, Message m) {
+  check_link(to);
+  stamp_send(m, machine_->cost_.msg_cost(m.words()), m.words());
+  machine_->deliver(id_, to, std::move(m));
+}
+
+void Ctx::send(cube::NodeId to, Message m, std::span<const Key> lbs) {
+  check_link(to);
+  const std::size_t words = m.data.size() + lbs.size();
+  stamp_send(m, machine_->cost_.msg_cost(words), words);
+  if (machine_->lends_node_lbs()) {
+    machine_->deliver_lent(id_, to, m, lbs);
+    return;
+  }
+  m.lbs.assign(lbs.begin(), lbs.end());
   machine_->deliver(id_, to, std::move(m));
 }
 
@@ -58,15 +80,19 @@ void Ctx::account_recv(const Message& m) {
 }
 
 void Ctx::send_host(Message m) {
-  m.from = id_;
   // Host links are reliable and lightly loaded at the node end; the serial
   // per-word cost is paid by the host when it drains its inbox.
-  const double cost = machine_->cost_.alpha_send;
-  stats_.clock += cost;
-  stats_.comm_ticks += cost;
-  stats_.msgs_sent += 1;
-  stats_.words_sent += m.words();
-  m.arrival = stats_.clock;
+  stamp_send(m, machine_->cost_.alpha_send, m.words());
+  machine_->deliver_host(id_, std::move(m));
+}
+
+void Ctx::send_host(Message m, std::span<const Key> lbs) {
+  stamp_send(m, machine_->cost_.alpha_send, m.data.size() + lbs.size());
+  if (machine_->lends_host_lbs()) {
+    machine_->deliver_host_lent(id_, m, lbs);
+    return;
+  }
+  m.lbs.assign(lbs.begin(), lbs.end());
   machine_->deliver_host(id_, std::move(m));
 }
 
@@ -160,49 +186,73 @@ Channel& Machine::link_channel(cube::NodeId to, cube::NodeId from) {
   return *in_links_[to][static_cast<std::size_t>(k)];
 }
 
+[[gnu::always_inline]] inline void Machine::record_link(cube::NodeId from,
+                                                       cube::NodeId to,
+                                                       const Message& m,
+                                                       std::size_t words,
+                                                       bool pass) {
+  if (record_events_)
+    events_.push_back(LinkEvent{from, to, m.kind, m.stage, m.iter,
+                                static_cast<std::uint32_t>(words), pass});
+  if (auto* me = obs::metrics()) {
+    me->inc(obs::Counter::kLinkMsgs);
+    me->inc(obs::Counter::kLinkWords, words);
+    me->observe_msg_words(words);
+    if (!pass) me->inc(obs::Counter::kDroppedMsgs);
+  }
+  if (!pass)
+    if (auto* tr = obs::tracer())
+      tr->instant(obs::Ev::kDrop, from, m.stage, m.iter, m.arrival, to,
+                  static_cast<std::int64_t>(words));
+}
+
 void Machine::deliver(cube::NodeId from, cube::NodeId to, Message m) {
   bool pass = true;
   if (interceptor_ != nullptr) pass = interceptor_->on_send(from, to, m);
-  if (record_events_)
-    events_.push_back(LinkEvent{from, to, m.kind, m.stage, m.iter,
-                                static_cast<std::uint32_t>(m.words()), pass});
-  if (auto* me = obs::metrics()) {
-    me->inc(obs::Counter::kLinkMsgs);
-    me->inc(obs::Counter::kLinkWords, m.words());
-    me->observe_msg_words(m.words());
-    if (!pass) me->inc(obs::Counter::kDroppedMsgs);
-  }
-  if (!pass) {
-    if (auto* tr = obs::tracer())
-      tr->instant(obs::Ev::kDrop, from, m.stage, m.iter, m.arrival, to,
-                  static_cast<std::int64_t>(m.words()));
-    return;
-  }
+  record_link(from, to, m, m.words(), pass);
+  if (!pass) return;
   // Interception, recording and metrics all happen sender-side (above), so a
   // remote run's event log is the local node's exact share of the sim's.
   if (remote_ != nullptr && static_cast<std::int32_t>(to) != remote_local_) {
-    remote_->send_node(from, to, m);
+    remote_->send_node(from, to, m, m.lbs);
     return;
   }
   link_channel(to, from).push(std::move(m));
 }
 
-void Machine::deliver_host(cube::NodeId from, Message m) {
+void Machine::deliver_lent(cube::NodeId from, cube::NodeId to,
+                           const Message& m, std::span<const Key> lbs) {
+  record_link(from, to, m, m.data.size() + lbs.size(), true);
+  remote_->send_node(from, to, m, lbs);
+}
+
+[[gnu::always_inline]] inline void Machine::record_host_link(
+    cube::NodeId from, const Message& m, std::size_t words) {
   if (record_events_) {
     LinkEvent ev{from, 0, m.kind, m.stage, m.iter,
-                 static_cast<std::uint32_t>(m.words()), true};
+                 static_cast<std::uint32_t>(words), true};
     ev.to_host = true;
     events_.push_back(ev);
   }
   if (auto* me = obs::metrics()) {
     me->inc(obs::Counter::kHostMsgs);
-    me->inc(obs::Counter::kHostWords, m.words());
+    me->inc(obs::Counter::kHostWords, words);
   }
+}
+
+void Machine::deliver_host(cube::NodeId from, Message m) {
+  record_host_link(from, m, m.words());
   if (remote_ != nullptr && remote_local_ >= 0) {  // node endpoint: host is remote
-    remote_->send_host(from, m);
+    remote_->send_host(from, m, m.lbs);
     return;
   }
   host_inbox_->push(std::move(m));
+}
+
+void Machine::deliver_host_lent(cube::NodeId from, const Message& m,
+                                std::span<const Key> lbs) {
+  record_host_link(from, m, m.data.size() + lbs.size());
+  remote_->send_host(from, m, lbs);
 }
 
 void Machine::deliver_from_host(cube::NodeId to, Message m) {
@@ -217,7 +267,7 @@ void Machine::deliver_from_host(cube::NodeId to, Message m) {
     me->inc(obs::Counter::kHostWords, m.words());
   }
   if (remote_ != nullptr && static_cast<std::int32_t>(to) != remote_local_) {
-    remote_->send_from_host(to, m);
+    remote_->send_from_host(to, m, m.lbs);
     return;
   }
   host_out_[to]->push(std::move(m));

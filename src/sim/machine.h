@@ -23,6 +23,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,15 @@ class Ctx {
   // to fault interception.
   void send(cube::NodeId to, Message m);
 
+  // As above, with `lbs` as the message's LBS payload (m.lbs must be empty).
+  // The span is read before send returns.  When a remote link carries the
+  // message and no interceptor sees it, the link gathers the span straight
+  // onto the wire; otherwise it is copied into m.lbs first, because a local
+  // receiver runs after the sender has moved on and an interceptor may
+  // mutate the message.  Costs, link events and metrics count the same
+  // words either way.
+  void send(cube::NodeId to, Message m, std::span<const Key> lbs);
+
   // Awaitable receive from the link to an adjacent node.
   Channel::RecvAwaiter recv(cube::NodeId from);
 
@@ -102,8 +112,9 @@ class Ctx {
   // is not separately charged) plus the receive overhead.
   void account_recv(const Message& m);
 
-  // Reliable host link.
+  // Reliable host link; the lbs overload borrows like send's above.
   void send_host(Message m);
+  void send_host(Message m, std::span<const Key> lbs);
   Channel::RecvAwaiter recv_host();
 
   // Record a fail-stop diagnostic and notify the host (reliable).
@@ -120,6 +131,10 @@ class Ctx {
 
  private:
   friend class Machine;
+  void check_link(cube::NodeId to) const;
+  // Charge a send of `words` key words at `cost` and stamp m's arrival.
+  void stamp_send(Message& m, double cost, std::size_t words);
+
   Machine* machine_ = nullptr;
   cube::NodeId id_ = 0;
   NodeStats stats_;
@@ -262,6 +277,24 @@ class Machine {
 
   Channel& link_channel(cube::NodeId to, cube::NodeId from);
   void deliver(cube::NodeId from, cube::NodeId to, Message m);
+
+  // Borrowed-LBS sends (Ctx::send with a span) go straight to the remote
+  // link only when it carries the message and no interceptor could see it.
+  bool lends_node_lbs() const {
+    return remote_ != nullptr && interceptor_ == nullptr;
+  }
+  bool lends_host_lbs() const {
+    return remote_ != nullptr && remote_local_ >= 0;
+  }
+  void deliver_lent(cube::NodeId from, cube::NodeId to, const Message& m,
+                    std::span<const Key> lbs);
+  void deliver_host_lent(cube::NodeId from, const Message& m,
+                         std::span<const Key> lbs);
+  // The one recording point for every node-link send: link event, metrics
+  // and the drop trace.
+  void record_link(cube::NodeId from, cube::NodeId to, const Message& m,
+                   std::size_t words, bool pass);
+  void record_host_link(cube::NodeId from, const Message& m, std::size_t words);
 
   // The host-link counterparts of deliver(): every message still flows
   // through one recording point (LinkEvent log + metrics), but host links are

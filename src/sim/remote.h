@@ -36,11 +36,16 @@ class RemoteLink {
   // Outbound, invoked from Machine::deliver* after interception, link-event
   // recording and metrics.  Must match Channel::push semantics: never blocks
   // the protocol, never fails — a dead peer absorbs traffic exactly like a
-  // sim channel whose receiver already halted.
-  virtual void send_node(cube::NodeId from, cube::NodeId to,
-                         const Message& m) = 0;
-  virtual void send_host(cube::NodeId from, const Message& m) = 0;
-  virtual void send_from_host(cube::NodeId to, const Message& m) = 0;
+  // sim channel whose receiver already halted.  `lbs` is the message's LBS
+  // payload and stands in for m.lbs: either m.lbs itself, or a window the
+  // sender lent (Ctx::send with a span) that is only valid until the call
+  // returns.
+  virtual void send_node(cube::NodeId from, cube::NodeId to, const Message& m,
+                         std::span<const Key> lbs) = 0;
+  virtual void send_host(cube::NodeId from, const Message& m,
+                         std::span<const Key> lbs) = 0;
+  virtual void send_from_host(cube::NodeId to, const Message& m,
+                              std::span<const Key> lbs) = 0;
 
   // Inbound: drain everything currently available, handing each message to
   // `deliver`.  Returns the number of messages delivered.  `pool` backs the

@@ -18,8 +18,13 @@
 // tests/sort/kernels_fuzz_test.cpp across all paths the host can execute.
 // Both SIMD tables vectorize the wide scans (run_break, mismatch) and
 // delegate the pointer-chasing kernels to scalar — measured, not assumed:
-// the 4-wide bitonic merge and galloped scans lost to the branchless scalar
-// loops on every size (see kernels_avx2.cpp and bench/micro_predicates).
+// the 4-wide bitonic merge and galloped scans lost to the scalar loops on
+// every size (see kernels_avx2.cpp and bench/micro_predicates).  Those
+// loops run ~1 ns/element only on small repeated fixtures whose branches
+// the predictor learns; at block size on fresh inputs the reference merge
+// and Φ_F scan mispredict and cost 6-8 ns/key.  The scalar merge and
+// phi_f_scan are therefore merge-path kernels — interleaved branchless
+// chains, bit-identical to the reference loops kept in detail:: below.
 // Delegation is indistinguishable by the contract above.
 //
 // Kernels take raw pointers, not spans, so the dispatch table stays a plain
@@ -91,6 +96,18 @@ namespace detail {
 const KernelTable& scalar_table();
 const KernelTable& avx2_table();
 const KernelTable& neon_table();
+
+// The reference loops the scalar table's merge and phi_f_scan reproduce bit
+// for bit: std::merge and the greedy Φ_F scan.  The kernels run them below
+// kMergePathCutoff total keys (on fresh inputs the merge-path versions break
+// even at 16 keys and win from 32), on unsorted merge operands, and, for
+// Φ_F, on any input that is not a clean pass, so every first-failure index
+// is the reference's.
+std::int64_t phi_f_scan_reference(const Key* llbs, const Key* lbs,
+                                  std::size_t size, bool ascending);
+void merge_reference(const Key* a, std::size_t la, const Key* b,
+                     std::size_t lb, bool ascending, Key* out);
+inline constexpr std::size_t kMergePathCutoff = 32;
 }  // namespace detail
 
 // ---- span-based call surface -------------------------------------------

@@ -104,14 +104,6 @@ struct NodeState {
         static_cast<std::size_t>(w.size()) * m);
   }
 
-  // Copy the window region of `lbs` into an outgoing slice, reusing `dst`'s
-  // (pooled) capacity instead of materializing a fresh vector.
-  template <typename Buf>
-  void slice_into(const cube::Subcube& w, Buf& dst) const {
-    const auto s = window_slice(w);
-    dst.assign(s.begin(), s.end());
-  }
-
   // Φ_C application to one received message.  Returns false after signalling
   // a fail-stop error.
   bool merge_received(const sim::Message& msg, const util::BitVec& sender_cover,
@@ -340,16 +332,14 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
         ctx.charge(cm.cmp * static_cast<double>(2 * m));
         st.a.assign(reply.data.begin(),
                     reply.data.begin() + static_cast<std::ptrdiff_t>(m));
-        st.slice_into(window, reply.lbs);
-        ctx.send(partner, std::move(reply));
+        ctx.send(partner, std::move(reply), st.window_slice(window));
       } else {
         sim::Message msg(ctx.pool());
         msg.kind = sim::MsgKind::kDataLbs;
         msg.stage = i;
         msg.iter = j;
         msg.data = st.a;
-        st.slice_into(window, msg.lbs);
-        ctx.send(partner, std::move(msg));
+        ctx.send(partner, std::move(msg), st.window_slice(window));
         auto r = co_await ctx.recv(partner);
         if (!r.ok) {  // cannot proceed without the operand, silent or not
           st.flag({0, i, j, sim::ErrorSource::kTimeout, "no message from partner"});
@@ -391,7 +381,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
       snap.node = me;
       snap.stage = i;
       snap.window = window;
-      st.slice_into(window, snap.lbs_window);
+      const auto lbs_window = st.window_slice(window);
+      snap.lbs_window.assign(lbs_window.begin(), lbs_window.end());
       snap.llbs_window.assign(
           st.llbs.begin() + static_cast<std::ptrdiff_t>(window.start * m),
           st.llbs.begin() + static_cast<std::ptrdiff_t>((window.end + 1) * m));
@@ -404,21 +395,19 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
       sim::Message ck(ctx.pool());
       ck.kind = sim::MsgKind::kCheckpoint;
       ck.stage = i;
-      if (me == window.start) {
-        st.slice_into(window, ck.lbs);
-        ctx.charge(cm.copy * static_cast<double>(window.size() * m));
-      } else {
-        ck.data.push_back(slice_digest(st.window_slice(window)));
-        // A streaming hash fold touches each word once: copy-rate, not cmp.
-        ctx.charge(cm.copy * static_cast<double>(window.size() * m));
-      }
       const bool is_rep = me == window.start;
-      const auto ck_words = static_cast<std::int64_t>(ck.words());
+      const auto slice = st.window_slice(window);
+      if (!is_rep) ck.data.push_back(slice_digest(slice));
+      // Shipping the slice and a streaming hash fold both touch each word
+      // once: copy-rate, not cmp.
+      ctx.charge(cm.copy * static_cast<double>(window.size() * m));
+      const auto upload = is_rep ? slice : std::span<const Key>{};
+      const auto ck_words = static_cast<std::int64_t>(ck.words() + upload.size());
       if (auto* tr = obs::tracer())
         tr->instant(obs::Ev::kCkptUpload, me, i, -1, ctx.clock(),
                     is_rep ? 1 : 0, ck_words);
       if (auto* mreg = obs::metrics()) mreg->inc(obs::Counter::kCkptUploads);
-      ctx.send_host(std::move(ck));
+      ctx.send_host(std::move(ck), upload);
     }
     std::copy(st.lbs.begin() + static_cast<std::ptrdiff_t>(window.start * m),
               st.lbs.begin() + static_cast<std::ptrdiff_t>((window.end + 1) * m),
@@ -459,15 +448,13 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
       reply.kind = sim::MsgKind::kLbsOnly;
       reply.stage = n;
       reply.iter = j;
-      st.slice_into(cube_window, reply.lbs);
-      ctx.send(partner, std::move(reply));
+      ctx.send(partner, std::move(reply), st.window_slice(cube_window));
     } else {
       sim::Message msg(ctx.pool());
       msg.kind = sim::MsgKind::kLbsOnly;
       msg.stage = n;
       msg.iter = j;
-      st.slice_into(cube_window, msg.lbs);
-      ctx.send(partner, std::move(msg));
+      ctx.send(partner, std::move(msg), st.window_slice(cube_window));
       auto r = co_await ctx.recv(partner);
       if (!r.ok) {
         st.flag({0, n, j, sim::ErrorSource::kTimeout, "no message from partner"});
@@ -496,7 +483,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
     snap.node = me;
     snap.stage = n;
     snap.window = cube_window;
-    st.slice_into(cube_window, snap.lbs_window);
+    const auto lbs_window = st.window_slice(cube_window);
+    snap.lbs_window.assign(lbs_window.begin(), lbs_window.end());
     snap.llbs_window.assign(st.llbs.begin(), st.llbs.end());
     sh.opts.observer(snap);
   }

@@ -41,30 +41,34 @@ void decode_record(ShmRing::Record& rec, sim::KeyPool& pool,
 ShmTransport::ShmTransport(ShmSegment& seg, std::int32_t role)
     : seg_(seg), role_(role) {}
 
-void ShmTransport::push_ring(ShmRing ring, const sim::Message& m) {
-  const WireMsgHdr h = wire_header(m);
+void ShmTransport::push_ring(ShmRing ring, const sim::Message& m,
+                             std::span<const sim::Key> lbs) {
+  const WireMsgHdr h = wire_header(m, lbs);
   const std::uint64_t data_bytes = m.data.size() * sizeof(sim::Key);
-  const std::uint64_t lbs_bytes = m.lbs.size() * sizeof(sim::Key);
+  const std::uint64_t lbs_bytes = lbs.size() * sizeof(sim::Key);
   ring.prefault(sizeof h + data_bytes + lbs_bytes);
   // Sized for the whole run, so a full ring is a bug, not backpressure:
   // absorb the message like a dead peer and count it for the collect path.
   if (!ring.try_push({{&h, sizeof h},
                       {m.data.data(), data_bytes},
-                      {m.lbs.data(), lbs_bytes}}))
+                      {lbs.data(), lbs_bytes}}))
     ++send_overflow_;
 }
 
 void ShmTransport::send_node(cube::NodeId from, cube::NodeId to,
-                             const sim::Message& m) {
-  push_ring(seg_.link_ring(to, std::countr_zero(from ^ to)), m);
+                             const sim::Message& m,
+                             std::span<const sim::Key> lbs) {
+  push_ring(seg_.link_ring(to, std::countr_zero(from ^ to)), m, lbs);
 }
 
-void ShmTransport::send_host(cube::NodeId from, const sim::Message& m) {
-  push_ring(seg_.up_ring(from), m);
+void ShmTransport::send_host(cube::NodeId from, const sim::Message& m,
+                             std::span<const sim::Key> lbs) {
+  push_ring(seg_.up_ring(from), m, lbs);
 }
 
-void ShmTransport::send_from_host(cube::NodeId to, const sim::Message& m) {
-  push_ring(seg_.down_ring(to), m);
+void ShmTransport::send_from_host(cube::NodeId to, const sim::Message& m,
+                                  std::span<const sim::Key> lbs) {
+  push_ring(seg_.down_ring(to), m, lbs);
 }
 
 std::size_t ShmTransport::pump(sim::KeyPool& pool, const Deliver& deliver) {

@@ -32,10 +32,12 @@ class ShmTransport final : public sim::RemoteLink {
   // children and enforce the run deadline while its collector is blocked.
   void set_host_poll(std::function<void()> poll) { host_poll_ = std::move(poll); }
 
-  void send_node(cube::NodeId from, cube::NodeId to,
-                 const sim::Message& m) override;
-  void send_host(cube::NodeId from, const sim::Message& m) override;
-  void send_from_host(cube::NodeId to, const sim::Message& m) override;
+  void send_node(cube::NodeId from, cube::NodeId to, const sim::Message& m,
+                 std::span<const sim::Key> lbs) override;
+  void send_host(cube::NodeId from, const sim::Message& m,
+                 std::span<const sim::Key> lbs) override;
+  void send_from_host(cube::NodeId to, const sim::Message& m,
+                      std::span<const sim::Key> lbs) override;
   std::size_t pump(sim::KeyPool& pool, const Deliver& deliver) override;
   bool wait_activity(std::span<const cube::NodeId> peers) override;
 
@@ -45,7 +47,8 @@ class ShmTransport final : public sim::RemoteLink {
   std::uint32_t send_overflow() const { return send_overflow_; }
 
  private:
-  void push_ring(ShmRing ring, const sim::Message& m);
+  void push_ring(ShmRing ring, const sim::Message& m,
+                 std::span<const sim::Key> lbs);
 
   ShmSegment& seg_;
   std::int32_t role_;

@@ -435,18 +435,21 @@ void TcpNodeEndpoint::connect_peers() {
 }
 
 void TcpNodeEndpoint::send_node(cube::NodeId from, cube::NodeId to,
-                                const sim::Message& m) {
+                                const sim::Message& m,
+                                std::span<const sim::Key> lbs) {
   (void)from;
-  encode_message(m, scratch_);
+  encode_message(m, lbs, scratch_);
   neighbor(to).queue_frame(FrameType::kData, scratch_);
 }
 
-void TcpNodeEndpoint::send_host(cube::NodeId, const sim::Message& m) {
-  encode_message(m, scratch_);
+void TcpNodeEndpoint::send_host(cube::NodeId, const sim::Message& m,
+                                std::span<const sim::Key> lbs) {
+  encode_message(m, lbs, scratch_);
   parent_.queue_frame(FrameType::kData, scratch_);
 }
 
-void TcpNodeEndpoint::send_from_host(cube::NodeId, const sim::Message&) {
+void TcpNodeEndpoint::send_from_host(cube::NodeId, const sim::Message&,
+                                     std::span<const sim::Key>) {
   throw std::logic_error("tcp: node endpoint cannot send as host");
 }
 
@@ -772,16 +775,19 @@ void TcpHostEndpoint::await_all() {
 }
 
 void TcpHostEndpoint::send_node(cube::NodeId, cube::NodeId,
-                                const sim::Message&) {
+                                const sim::Message&,
+                                std::span<const sim::Key>) {
   throw std::logic_error("tcp: host endpoint cannot send node-to-node");
 }
 
-void TcpHostEndpoint::send_host(cube::NodeId, const sim::Message&) {
+void TcpHostEndpoint::send_host(cube::NodeId, const sim::Message&,
+                                std::span<const sim::Key>) {
   throw std::logic_error("tcp: host endpoint cannot send to itself");
 }
 
-void TcpHostEndpoint::send_from_host(cube::NodeId to, const sim::Message& m) {
-  encode_message(m, scratch_);
+void TcpHostEndpoint::send_from_host(cube::NodeId to, const sim::Message& m,
+                                     std::span<const sim::Key> lbs) {
+  encode_message(m, lbs, scratch_);
   conns_[to].queue_frame(FrameType::kData, scratch_);
 }
 

@@ -173,10 +173,12 @@ class TcpNodeEndpoint final : public sim::RemoteLink {
               std::span<const sim::Key> output);
 
   // sim::RemoteLink
-  void send_node(cube::NodeId from, cube::NodeId to,
-                 const sim::Message& m) override;
-  void send_host(cube::NodeId from, const sim::Message& m) override;
-  void send_from_host(cube::NodeId to, const sim::Message& m) override;
+  void send_node(cube::NodeId from, cube::NodeId to, const sim::Message& m,
+                 std::span<const sim::Key> lbs) override;
+  void send_host(cube::NodeId from, const sim::Message& m,
+                 std::span<const sim::Key> lbs) override;
+  void send_from_host(cube::NodeId to, const sim::Message& m,
+                      std::span<const sim::Key> lbs) override;
   std::size_t pump(sim::KeyPool& pool, const Deliver& deliver) override;
   bool wait_activity(std::span<const cube::NodeId> peers) override;
 
@@ -260,10 +262,12 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   }
 
   // sim::RemoteLink
-  void send_node(cube::NodeId from, cube::NodeId to,
-                 const sim::Message& m) override;
-  void send_host(cube::NodeId from, const sim::Message& m) override;
-  void send_from_host(cube::NodeId to, const sim::Message& m) override;
+  void send_node(cube::NodeId from, cube::NodeId to, const sim::Message& m,
+                 std::span<const sim::Key> lbs) override;
+  void send_host(cube::NodeId from, const sim::Message& m,
+                 std::span<const sim::Key> lbs) override;
+  void send_from_host(cube::NodeId to, const sim::Message& m,
+                      std::span<const sim::Key> lbs) override;
   std::size_t pump(sim::KeyPool& pool, const Deliver& deliver) override;
   bool wait_activity(std::span<const cube::NodeId> peers) override;
 

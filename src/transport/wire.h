@@ -4,7 +4,9 @@
 // layout is native-endian PODs: a fixed header followed by the data keys and
 // then the lbs keys.  Shm senders gather the header and both key arrays
 // straight into a ring record (ShmTransport); tcp frames go through
-// encode_message/decode_message.  The sender's logical arrival stamp
+// encode_message/decode_message.  The lbs keys come from an explicit span —
+// m.lbs, or the sender's own LBS window lent for the duration of the send —
+// so a node's gossip reaches the wire without a staging copy.  The sender's logical arrival stamp
 // travels on the wire — receiver clocks advance from it exactly as in the
 // simulator, which is what keeps per-node logical time (and therefore every
 // Φ evaluation and trace line) deterministic across backends.
@@ -37,8 +39,10 @@ static_assert(sizeof(WireMsgHdr) == 40);
 static_assert(sizeof(WireMsgHdr) % sizeof(sim::Key) == 0,
               "keys after the header stay 8-aligned in a shm ring record");
 
-// The fixed header describing `m` on the wire.
-inline WireMsgHdr wire_header(const sim::Message& m) {
+// The fixed header describing `m` on the wire, with `lbs` as its LBS payload
+// (m.lbs itself, or a window the sender lent: sim/remote.h).
+inline WireMsgHdr wire_header(const sim::Message& m,
+                              std::span<const sim::Key> lbs) {
   WireMsgHdr h;
   h.kind = static_cast<std::uint8_t>(m.kind);
   h.from = static_cast<std::int32_t>(m.from);
@@ -46,7 +50,7 @@ inline WireMsgHdr wire_header(const sim::Message& m) {
   h.iter = m.iter;
   h.tag = m.tag;
   h.ndata = static_cast<std::uint32_t>(m.data.size());
-  h.nlbs = static_cast<std::uint32_t>(m.lbs.size());
+  h.nlbs = static_cast<std::uint32_t>(lbs.size());
   h.arrival = m.arrival;
   return h;
 }
@@ -63,18 +67,17 @@ inline void message_from_header(const WireMsgHdr& h, sim::KeyPool& pool,
   out.arrival = h.arrival;
 }
 
-inline void encode_message(const sim::Message& m,
+inline void encode_message(const sim::Message& m, std::span<const sim::Key> lbs,
                            std::vector<unsigned char>& out) {
-  const WireMsgHdr h = wire_header(m);
-  out.resize(sizeof h + (m.data.size() + m.lbs.size()) * sizeof(sim::Key));
+  const WireMsgHdr h = wire_header(m, lbs);
+  out.resize(sizeof h + (m.data.size() + lbs.size()) * sizeof(sim::Key));
   std::memcpy(out.data(), &h, sizeof h);
   unsigned char* p = out.data() + sizeof h;
   if (!m.data.empty()) {
     std::memcpy(p, m.data.data(), m.data.size() * sizeof(sim::Key));
     p += m.data.size() * sizeof(sim::Key);
   }
-  if (!m.lbs.empty())
-    std::memcpy(p, m.lbs.data(), m.lbs.size() * sizeof(sim::Key));
+  if (!lbs.empty()) std::memcpy(p, lbs.data(), lbs.size() * sizeof(sim::Key));
 }
 
 // Rebuild a pooled Message from one encoded record.  False on a malformed

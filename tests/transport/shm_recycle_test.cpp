@@ -133,13 +133,13 @@ TEST(ShmOverflow, FullLinkRingDropsAndCountsTheSend) {
   big.kind = sim::MsgKind::kDataLbs;
   big.from = 0;
   big.data.assign(seg.header().link_ring_bytes / sizeof(Key), 7);
-  sender.send_node(0, 1, big);
+  sender.send_node(0, 1, big, big.lbs);
   EXPECT_EQ(sender.send_overflow(), 1u);
 
   sim::Message small(pool);
   small.from = 0;
   small.data.assign({1, 2, 3});
-  sender.send_node(0, 1, small);
+  sender.send_node(0, 1, small, small.lbs);
   EXPECT_EQ(sender.send_overflow(), 1u);
 
   std::vector<std::size_t> got;

@@ -182,7 +182,7 @@ TEST(ShmRingPrefault, ForkedChildPushesAMegabyteWithoutAFaultPerPage) {
     close(fds[0]);
     ShmTransport sender(seg, 0);
     const long before = minor_faults();
-    sender.send_node(0, 1, msg);
+    sender.send_node(0, 1, msg, msg.lbs);
     const long faults = minor_faults() - before;
     const bool ok = sender.send_overflow() == 0 &&
                     write(fds[1], &faults, sizeof faults) == sizeof faults;

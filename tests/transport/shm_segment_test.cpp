@@ -145,7 +145,7 @@ TEST(WireMessage, EncodeDecodeRoundTrip) {
   m.lbs.assign({-4, -5});
 
   std::vector<unsigned char> bytes;
-  encode_message(m, bytes);
+  encode_message(m, m.lbs, bytes);
   sim::Message out(pool);
   ASSERT_TRUE(decode_message(bytes, pool, out));
   EXPECT_EQ(out.kind, sim::MsgKind::kDataLbs);

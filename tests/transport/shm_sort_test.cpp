@@ -239,5 +239,49 @@ TEST(ShmSortCrossCheck, RejectsInProcessAffordances) {
   EXPECT_THROW(run_snr(2, input, snr_icpt), std::invalid_argument);
 }
 
+// A forked node keeps its machine's interceptor, so its sends take the
+// copying path the simulator takes and the interceptor sees (and mutates)
+// the same gossip.  Node 1's stage-1 reply to node 3 carries node 3's own
+// block; bumping one of those keys must trip node 3's Φ_C at (1, 1) on
+// every fabric.
+TEST(ShmSortCrossCheck, InterceptedGossipGivesTheSimsPhiCFailStop) {
+  struct BumpCoveredKey : sim::LinkInterceptor {
+    std::size_t m = 1;
+    bool on_send(cube::NodeId from, cube::NodeId to, sim::Message& msg) override {
+      if (from == 1 && to == 3 && msg.stage == 1 && msg.iter == 1 &&
+          msg.lbs.size() >= 4 * m)
+        msg.lbs[3 * m + m / 2] += 1;
+      return true;
+    }
+  };
+  for (const int dim : {2, 3}) {
+    for (const std::size_t m : {std::size_t{1}, std::size_t{512}}) {
+      BumpCoveredKey bump;
+      bump.m = m;
+      SftOptions base;
+      base.block = m;
+      base.interceptor = &bump;
+      auto input = util::random_keys(
+          9100 + static_cast<std::uint64_t>(dim) * 10 + m,
+          (std::size_t{1} << dim) * m);
+      const auto sim_run = run_sft(dim, input, base);
+      // Node 3's fail-stop; its partners then time out waiting on it.
+      const auto phi_c = std::make_tuple(
+          cube::NodeId{3}, 1, 1, static_cast<int>(sim::ErrorSource::kPhiC));
+      const auto keys = error_keys(sim_run);
+      EXPECT_EQ(std::count_if(keys.begin(), keys.end(),
+                              [](const auto& k) {
+                                return std::get<3>(k) != static_cast<int>(
+                                           sim::ErrorSource::kTimeout);
+                              }),
+                1)
+          << "dim=" << dim << " m=" << m;
+      EXPECT_NE(std::find(keys.begin(), keys.end(), phi_c), keys.end());
+      expect_match(sim_run, run_sft(dim, input, shm_opts(base)), input,
+                   "intercepted gossip");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aoft::sort
