@@ -195,14 +195,19 @@ bool applies_to_snr(FaultClass c) {
   }
 }
 
+// A single-fault scenario's result.  A link-class fault was exercised when
+// the adversary touched a message, and fired once per touch; a node-class
+// fault was exercised, and fired once, when it instantiated a script.
 ScenarioResult finish_result(const Scenario& s, const sort::SortRun& run,
-                             std::span<const sim::Key> input, bool exercised,
-                             std::uint64_t fired) {
+                             std::span<const sim::Key> input,
+                             const Adversary& adversary,
+                             const NodeFaultMap& node_faults) {
+  const bool link = is_link_class(s.fclass);
   ScenarioResult r;
   r.scenario = s;
   r.outcome = sort::classify(run, input);
-  r.fault_exercised = exercised;
-  r.faults_fired = fired;
+  r.fault_exercised = link ? adversary.touched() > 0 : !node_faults.empty();
+  r.faults_fired = link ? adversary.touched() : (r.fault_exercised ? 1 : 0);
   if (!run.errors.empty()) {
     r.first_detector = run.errors.front().source;
     r.detection_stage = run.errors.front().stage;
@@ -293,6 +298,20 @@ sim::Machine* lease_machine(int dim) {
     machine_dim = dim;
   }
   return machine.get();
+}
+
+// CampaignConfig -> SftOptions: the block, the predicate toggles and this
+// worker's leased machine.  Faults and the interceptor are the caller's.
+sort::SftOptions sft_options(const CampaignConfig& cfg, int dim,
+                             std::size_t block) {
+  sort::SftOptions opts;
+  opts.block = block;
+  opts.check_progress = cfg.check_progress;
+  opts.check_feasibility = cfg.check_feasibility;
+  opts.check_consistency = cfg.check_consistency;
+  opts.check_exchange = cfg.check_exchange;
+  opts.machine = lease_machine(dim);
+  return opts;
 }
 
 // Run body(i) for i in [0, count): inline when jobs == 1, across a pool
@@ -455,21 +474,11 @@ ScenarioResult run_scenario_sft(const Scenario& s, const CampaignConfig& cfg) {
   auto input = util::random_keys(
       s.input_seed, (std::size_t{1} << s.dim) * s.block);
   Adversary adversary;
-  sort::SftOptions opts;
-  opts.block = s.block;
-  opts.check_progress = cfg.check_progress;
-  opts.check_feasibility = cfg.check_feasibility;
-  opts.check_consistency = cfg.check_consistency;
-  opts.check_exchange = cfg.check_exchange;
+  sort::SftOptions opts = sft_options(cfg, s.dim, s.block);
   instantiate(s, adversary, opts.node_faults);
   if (is_link_class(s.fclass)) opts.interceptor = &adversary;
-  opts.machine = lease_machine(s.dim);
   auto run = sort::run_sft(s.dim, input, opts);
-  const bool exercised =
-      is_link_class(s.fclass) ? adversary.touched() > 0 : !opts.node_faults.empty();
-  const std::uint64_t fired =
-      is_link_class(s.fclass) ? adversary.touched() : (exercised ? 1 : 0);
-  return finish_result(s, run, input, exercised, fired);
+  return finish_result(s, run, input, adversary, opts.node_faults);
 }
 
 ScenarioResult run_scenario_snr(const Scenario& s, const CampaignConfig&) {
@@ -478,17 +487,11 @@ ScenarioResult run_scenario_snr(const Scenario& s, const CampaignConfig&) {
   Adversary adversary;
   sort::SnrOptions opts;
   opts.block = s.block;
-  NodeFaultMap nf;
-  instantiate(s, adversary, nf);
-  opts.node_faults = std::move(nf);
+  instantiate(s, adversary, opts.node_faults);
   if (is_link_class(s.fclass)) opts.interceptor = &adversary;
   opts.machine = lease_machine(s.dim);
   auto run = sort::run_snr(s.dim, input, opts);
-  const bool exercised =
-      is_link_class(s.fclass) ? adversary.touched() > 0 : !opts.node_faults.empty();
-  const std::uint64_t fired =
-      is_link_class(s.fclass) ? adversary.touched() : (exercised ? 1 : 0);
-  return finish_result(s, run, input, exercised, fired);
+  return finish_result(s, run, input, adversary, opts.node_faults);
 }
 
 MultiScenario draw_multi_scenario(int k, const CampaignConfig& cfg,
@@ -515,12 +518,7 @@ MultiResult run_multi_scenario_sft(const MultiScenario& ms,
   auto input = util::random_keys(ms.input_seed,
                                  (std::size_t{1} << ms.dim) * ms.block);
   Adversary adversary;
-  sort::SftOptions opts;
-  opts.block = ms.block;
-  opts.check_progress = cfg.check_progress;
-  opts.check_feasibility = cfg.check_feasibility;
-  opts.check_consistency = cfg.check_consistency;
-  opts.check_exchange = cfg.check_exchange;
+  sort::SftOptions opts = sft_options(cfg, ms.dim, ms.block);
   bool any_node_fault = false;
   bool any_link_fault = false;
   for (const auto& s : ms.faults) {
@@ -529,7 +527,6 @@ MultiResult run_multi_scenario_sft(const MultiScenario& ms,
     any_link_fault |= is_link_class(s.fclass);
   }
   if (any_link_fault) opts.interceptor = &adversary;
-  opts.machine = lease_machine(ms.dim);
   auto run = sort::run_sft(ms.dim, input, opts);
 
   MultiResult r;
@@ -734,14 +731,8 @@ SlotRecord run_soak_slot(const CampaignConfig& cfg, std::uint64_t g) {
       adversary.add(run_length_crash(faulty, cfg.injection.k, &stats));
 
     auto input = util::random_keys(input_seed, num_nodes * cfg.block);
-    sort::SftOptions opts;
-    opts.block = cfg.block;
-    opts.check_progress = cfg.check_progress;
-    opts.check_feasibility = cfg.check_feasibility;
-    opts.check_consistency = cfg.check_consistency;
-    opts.check_exchange = cfg.check_exchange;
+    sort::SftOptions opts = sft_options(cfg, cfg.dim, cfg.block);
     opts.interceptor = &adversary;
-    opts.machine = lease_machine(cfg.dim);
     auto run = sort::run_sft(cfg.dim, input, opts);
     if (stats.fired == 0) continue;  // no arrival this attempt; redraw
 

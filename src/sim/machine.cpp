@@ -1,7 +1,6 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -281,23 +280,15 @@ void Machine::run(const NodeMain& node_main, const HostMain& host_main) {
   // outlive their closure object).
   NodeMain local(node_main);
   HostMain host_local(host_main);
-  for (cube::NodeId p = 0; p < topo_.num_nodes(); ++p)
-    sched_.spawn(local(ctxs_[p]));
-  if (host_local) sched_.spawn(host_local(host_ctx_));
-  watchdog_rounds_ = sched_.run();
-}
-
-void Machine::run_per_node(std::vector<NodeMain> mains,
-                           const HostMain& host_main) {
-  if (ran_) throw std::logic_error("Machine::run may be called once per reset");
-  ran_ = true;
-  assert(mains.size() == topo_.num_nodes());
-  // `mains` is owned by value: the closures sit in this frame until every
-  // coroutine finishes, with no second copy.
-  HostMain host_local(host_main);
-  for (cube::NodeId p = 0; p < topo_.num_nodes(); ++p)
-    sched_.spawn(mains[p](ctxs_[p]));
-  if (host_local) sched_.spawn(host_local(host_ctx_));
+  if (remote_ == nullptr) {
+    for (cube::NodeId p = 0; p < topo_.num_nodes(); ++p)
+      sched_.spawn(local(ctxs_[p]));
+    if (host_local) sched_.spawn(host_local(host_ctx_));
+  } else if (remote_local_ >= 0) {
+    sched_.spawn(local(ctxs_[static_cast<std::size_t>(remote_local_)]));
+  } else {
+    sched_.spawn(host_local(host_ctx_));
+  }
   watchdog_rounds_ = sched_.run();
 }
 
@@ -307,27 +298,6 @@ void Machine::attach_remote(RemoteLink* link, std::int32_t local_node) {
   remote_ = link;
   remote_local_ = local_node;
   sched_.set_idle_handler([this] { return remote_idle(); });
-}
-
-void Machine::run_remote_node(cube::NodeId p, const NodeMain& node_main) {
-  if (ran_) throw std::logic_error("Machine::run may be called once per reset");
-  if (remote_ == nullptr || remote_local_ != static_cast<std::int32_t>(p))
-    throw std::logic_error("run_remote_node requires attach_remote(link, p)");
-  ran_ = true;
-  NodeMain local(node_main);
-  sched_.spawn(local(ctxs_[p]));
-  watchdog_rounds_ = sched_.run();
-}
-
-void Machine::run_remote_host(const HostMain& host_main) {
-  if (ran_) throw std::logic_error("Machine::run may be called once per reset");
-  if (remote_ == nullptr || remote_local_ >= 0)
-    throw std::logic_error(
-        "run_remote_host requires attach_remote(link, negative)");
-  ran_ = true;
-  HostMain host_local(host_main);
-  sched_.spawn(host_local(host_ctx_));
-  watchdog_rounds_ = sched_.run();
 }
 
 bool Machine::remote_idle() {

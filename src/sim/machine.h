@@ -220,14 +220,11 @@ class Machine {
   void set_interceptor(LinkInterceptor* interceptor) { interceptor_ = interceptor; }
   void record_link_events(bool on) { record_events_ = on; }
 
-  // Run `node_main` on every node, plus an optional host program, to
-  // completion.  May be called once per Machine (or once per reset()).
+  // Run the local endpoints to completion: `node_main` on every node plus
+  // the optional host program; with a remote link attached, only the node
+  // given to attach_remote (`node_main`) or only the host (`host_main`).
+  // May be called once per Machine (or once per reset()).
   void run(const NodeMain& node_main, const HostMain& host_main = {});
-
-  // As above with a distinct program per node (adversarial node programs).
-  // Taken by value: callers that no longer need their vector can move it in
-  // and the closures are stored exactly once for the whole run.
-  void run_per_node(std::vector<NodeMain> mains, const HostMain& host_main = {});
 
   // ---- remote transport (sim/remote.h) -------------------------------------
   // Drive only one endpoint of the cube — node `local_node`, or the host when
@@ -237,11 +234,6 @@ class Machine {
   // further can arrive.  Attach before running; reset() detaches.
   void attach_remote(RemoteLink* link, std::int32_t local_node);
   bool remote() const { return remote_ != nullptr; }
-
-  // Run exactly one node's program (attach_remote(link, p) first).
-  void run_remote_node(cube::NodeId p, const NodeMain& node_main);
-  // Run only the host program (attach_remote(link, negative) first).
-  void run_remote_host(const HostMain& host_main);
 
   // Return the machine to its just-constructed state so it can run again:
   // destroys any leftover coroutine frames, drains channels (pooled buffers
@@ -260,9 +252,9 @@ class Machine {
   const std::vector<ErrorReport>& errors() const { return errors_; }
   bool failed_stop() const { return !errors_.empty(); }
 
-  // True once run/run_per_node has been entered (even if it threw): the
-  // machine is single-shot until the next reset(), and a failed run must not
-  // be re-entered.
+  // True once run has been entered (even if it threw): the machine is
+  // single-shot until the next reset(), and a failed run must not be
+  // re-entered.
   bool ran() const { return ran_; }
 
   const NodeStats& node_stats(cube::NodeId p) const { return ctxs_[p].stats_; }

@@ -66,28 +66,49 @@ WireLog wire_log_of(const sim::Machine& mach) {
   return log;
 }
 
+// Node p's program on `mach`, a one-node machine it wires to the fabric's
+// `link`.
+void run_attached(sim::Machine& mach, sim::RemoteLink& link, cube::NodeId p,
+                  const NodeJob& job, NodeProgram node,
+                  sim::LinkInterceptor* interceptor) {
+  mach.attach_remote(&link, static_cast<std::int32_t>(p));
+  mach.set_interceptor(interceptor);
+  mach.record_link_events(job.cfg.record_events != 0);
+  mach.run([&job, node](sim::Ctx& ctx) { return node(ctx, job); });
+}
+
 // ---- parent side ------------------------------------------------------------
 
-// A harness-side loss (a dropped message, a truncated log) made loud: the
-// run becomes a fail-stop that names the node and what was lost.
+// A harness-side failure made loud: the run becomes a fail-stop that names
+// the node and what went wrong.
+void report_harness(SortRun& run, cube::NodeId p, std::string detail) {
+  run.errors.push_back({p, -1, -1, sim::ErrorSource::kApp, std::move(detail)});
+}
+
+// A harness-side loss (a dropped message, a truncated log), reported as above.
 void report_loss(SortRun& run, cube::NodeId p, std::uint32_t count,
                  const char* what) {
   if (count == 0) return;
-  run.errors.push_back({p, -1, -1, sim::ErrorSource::kApp,
-                        std::to_string(count) + " " + what});
+  report_harness(run, p, std::to_string(count) + " " + what);
 }
 
 // Fold node p's published result into `run`: its death, if the parent
-// declared one, error reports (node order), any overflow the node counted,
-// summary aggregates and link events.  A node the parent had to declare
-// dead published nothing — its fault shows through its Death and its
-// peers' kTimeout reports, like a sim halt.
+// declared one, its failure, if it published kFailed, error reports (node
+// order), any overflow the node counted, summary aggregates and link
+// events.  A node the parent had to declare dead published nothing — its
+// fault shows through its Death and its peers' kTimeout reports, like a sim
+// halt.  A kFailed node's output block was never written, so its reason
+// must fail the run.
 template <class Stats>
 void collect_node(SortRun& run, cube::NodeId p,
-                  std::optional<transport::DeathCause> death, const Stats& st,
+                  std::optional<transport::DeathCause> death,
+                  transport::SlotState state, const char* fail_reason,
+                  const Stats& st,
                   std::span<const transport::WireError> errors,
                   std::span<const transport::WireLinkEvent> events) {
   if (death) run.deaths.push_back({p, *death});
+  if (state == transport::SlotState::kFailed)
+    report_harness(run, p, fail_reason);
   for (const transport::WireError& w : errors)
     run.errors.push_back({p, w.stage, w.iter,
                           static_cast<sim::ErrorSource>(w.source), w.detail});
@@ -136,10 +157,45 @@ void run_host(sim::RemoteLink& link, const transport::JobConfig& cfg,
               const sim::HostMain& host, SortRun& run) {
   sim::Machine hostm(cube::Topology{static_cast<int>(cfg.dim)}, cfg.cost);
   hostm.attach_remote(&link, transport::kHostRole);
-  hostm.run_remote_host(host);
+  hostm.run({}, host);
   run.summary.host_comm = hostm.host_stats().comm_ticks;
   run.summary.host_comp = hostm.host_stats().comp_ticks;
   run.summary.elapsed = hostm.host_stats().clock;
+}
+
+// The simulator: every node and the host on one machine, the caller's when
+// given (reset() keeps its pool and channel storage warm across campaign
+// scenarios).  Link events keep the machine's own deterministic order.
+SortRun run_sim(const Job& job, NodeProgram node, const sim::HostMain& host) {
+  const int dim = static_cast<int>(job.cfg.dim);
+  std::optional<sim::Machine> owned;
+  sim::Machine* machine = job.machine;
+  if (machine != nullptr) {
+    if (machine->topo().dimension() != dim)
+      throw std::invalid_argument(
+          "Options::machine topology dimension does not match the sort");
+    machine->reset(job.cfg.cost);
+  } else {
+    owned.emplace(cube::Topology{dim}, job.cfg.cost);
+    machine = &*owned;
+  }
+  machine->set_interceptor(job.interceptor);
+  machine->record_link_events(job.cfg.record_events != 0);
+  SortRun run;
+  run.output.assign(job.input.size(), 0);
+  const NodeJob nj{.cfg = job.cfg,
+                   .faults = job.faults,
+                   .input = job.input,
+                   .llbs = job.llbs,
+                   .output = run.output,
+                   .observer = job.observer,
+                   .deaths = &run.deaths};
+  machine->run([&nj, node](sim::Ctx& ctx) { return node(ctx, nj); }, host);
+  run.errors = machine->errors();
+  std::ranges::sort(run.deaths, {}, &Death::node);
+  run.summary = machine->summary();
+  if (job.cfg.record_events != 0) run.link_events = machine->link_events();
+  return run;
 }
 
 void check(const Job& job, const transport::JobConfig& cfg,
@@ -150,7 +206,7 @@ void check(const Job& job, const transport::JobConfig& cfg,
     throw std::invalid_argument(
         "Options::machine is a single-process affordance; not available on "
         "the " + fabric + " backend");
-  if (job.observer)
+  if (job.observer != nullptr)
     throw std::invalid_argument(
         "SftOptions::observer runs in the node's process on the " + fabric +
         " backend; its snapshots cannot reach the caller — use the sim "
@@ -179,10 +235,10 @@ void check(const Job& job, const transport::JobConfig& cfg,
 }
 
 SortRun run_shm(const Job& job, const transport::JobConfig& cfg,
-                const NodeProgram& node, const sim::HostMain& host) {
+                NodeProgram node, const sim::HostMain& host) {
   transport::ShmSegment::Config scfg;
   static_cast<transport::JobConfig&>(scfg) = cfg;
-  scfg.run_deadline_s = job.shm.run_deadline_s;
+  scfg.run_deadline_s = job.shm->run_deadline_s;
   auto seg = transport::ShmSegment::create(scfg);
   std::copy(job.input.begin(), job.input.end(), seg.input().begin());
   std::copy(job.llbs.begin(), job.llbs.end(), seg.llbs().begin());
@@ -190,12 +246,12 @@ SortRun run_shm(const Job& job, const transport::JobConfig& cfg,
   std::copy(faults.begin(), faults.end(), seg.faults().begin());
 
   transport::ShmParent par(seg);
-  if (job.shm.node_binary.empty())
+  if (job.shm->node_binary.empty())
     par.spawn_fork([&](cube::NodeId p) {
       return run_node(seg, p, node, job.interceptor);
     });
   else
-    par.spawn_exec(job.shm.node_binary);
+    par.spawn_exec(job.shm->node_binary);
 
   SortRun run;
   std::uint32_t host_overflow = 0;
@@ -214,7 +270,10 @@ SortRun run_shm(const Job& job, const transport::JobConfig& cfg,
   for (cube::NodeId p = 0; p < seg.num_nodes(); ++p) {
     const transport::NodeSlot& slot = seg.slot(p);
     const auto events = seg.events(p);
-    collect_node(run, p, par.death(p), slot,
+    collect_node(run, p, par.death(p),
+                 static_cast<transport::SlotState>(
+                     slot.state.load(std::memory_order_acquire)),
+                 slot.fail_reason, slot,
                  {slot.errors, std::min(slot.error_count,
                                         transport::kMaxSlotErrors)},
                  events.first(std::min<std::size_t>(slot.event_count,
@@ -227,8 +286,8 @@ SortRun run_shm(const Job& job, const transport::JobConfig& cfg,
 }
 
 SortRun run_tcp(const Job& job, const transport::JobConfig& cfg,
-                const NodeProgram& node, const sim::HostMain& host) {
-  const auto& topts = job.tcp;
+                NodeProgram node, const sim::HostMain& host) {
+  const transport::TcpOptions& topts = *job.tcp;
   const int dim = static_cast<int>(cfg.dim);
   const cube::NodeId n = cube::NodeId{1} << dim;
   transport::TcpHostEndpoint link(dim, topts);
@@ -281,40 +340,43 @@ SortRun run_tcp(const Job& job, const transport::JobConfig& cfg,
     if (slot.output.size() == m)
       std::copy(slot.output.begin(), slot.output.end(),
                 run.output.begin() + static_cast<std::ptrdiff_t>(p * m));
-    collect_node(run, p, link.death(p), slot.head, slot.errors, slot.events);
+    collect_node(run, p, link.death(p), slot.state, slot.head.fail_reason,
+                 slot.head, slot.errors, slot.events);
   }
   return run;
 }
 
 }  // namespace
 
-SortRun run(const Job& job, const NodeProgram& node,
-            const sim::HostMain& host) {
+SortRun run(const Job& job, NodeProgram node, const sim::HostMain& host) {
+  if (job.backend == transport::Backend::kSim) return run_sim(job, node, host);
   const bool shm = job.backend == transport::Backend::kShm;
   transport::JobConfig cfg = job.cfg;
-  cfg.recv_timeout_s = shm ? job.shm.recv_timeout_s : job.tcp.recv_timeout_s;
-  check(job, cfg, shm ? job.shm.node_binary : job.tcp.node_binary);
+  cfg.recv_timeout_s = shm ? job.shm->recv_timeout_s : job.tcp->recv_timeout_s;
+  check(job, cfg, shm ? job.shm->node_binary : job.tcp->node_binary);
   SortRun run = shm ? run_shm(job, cfg, node, host)
                     : run_tcp(job, cfg, node, host);
   canonicalize_link_events(run.link_events);
   return run;
 }
 
-int run_node(transport::ShmSegment& seg, cube::NodeId p,
-             const NodeProgram& node, sim::LinkInterceptor* interceptor) {
+int run_node(transport::ShmSegment& seg, cube::NodeId p, NodeProgram node,
+             sim::LinkInterceptor* interceptor) {
   transport::NodeSlot& slot = seg.slot(p);
   try {
     const transport::SegmentHeader& cfg = seg.header();
-    const NodeJob job{cfg, faults_from_wire(seg.faults()), seg.input(),
-                      cfg.with_resume ? seg.llbs() : std::span<Key>{}};
+    const fault::NodeFaultMap faults = faults_from_wire(seg.faults());
+    const NodeJob job{.cfg = cfg,
+                      .faults = faults,
+                      .input = seg.input(),
+                      .llbs = cfg.with_resume ? seg.llbs() : std::span<Key>{},
+                      .output = seg.output().subspan(p * cfg.block, cfg.block),
+                      .out_first = p};
     sim::Machine mach(cube::Topology{static_cast<int>(cfg.dim)}, cfg.cost);
     transport::ShmTransport link(seg, static_cast<std::int32_t>(p));
-    mach.attach_remote(&link, static_cast<std::int32_t>(p));
-    mach.set_interceptor(interceptor);
-    mach.record_link_events(cfg.record_events != 0);
     slot.state.store(static_cast<std::uint32_t>(transport::SlotState::kRunning),
                      std::memory_order_release);
-    node(job, mach, p, seg.output().subspan(p * cfg.block, cfg.block));
+    run_attached(mach, link, p, job, node, interceptor);
 
     // The output block is already in place, so the kDone store below, the
     // release-fenced last write, always implies a complete output region.
@@ -341,19 +403,21 @@ int run_node(transport::ShmSegment& seg, cube::NodeId p,
   }
 }
 
-int run_node(transport::TcpNodeEndpoint& ep, cube::NodeId p,
-             const NodeProgram& node, sim::LinkInterceptor* interceptor) {
+int run_node(transport::TcpNodeEndpoint& ep, cube::NodeId p, NodeProgram node,
+             sim::LinkInterceptor* interceptor) {
   try {
     ep.connect_peers();
     const transport::TcpConfigHead& cfg = ep.config();
-    const NodeJob job{cfg, faults_from_wire(ep.faults()), ep.input(),
-                      ep.llbs()};
-    sim::Machine mach(cube::Topology{static_cast<int>(cfg.dim)}, cfg.cost);
-    mach.attach_remote(&ep, static_cast<std::int32_t>(p));
-    mach.set_interceptor(interceptor);
-    mach.record_link_events(cfg.record_events != 0);
+    const fault::NodeFaultMap faults = faults_from_wire(ep.faults());
     std::vector<Key> out(cfg.block);
-    node(job, mach, p, out);
+    const NodeJob job{.cfg = cfg,
+                      .faults = faults,
+                      .input = ep.input(),
+                      .llbs = ep.llbs(),
+                      .output = out,
+                      .out_first = p};
+    sim::Machine mach(cube::Topology{static_cast<int>(cfg.dim)}, cfg.cost);
+    run_attached(mach, ep, p, job, node, interceptor);
 
     // Stats, error reports, link events and the output block ride one
     // FINISH frame, which is only ever sent complete.
@@ -372,13 +436,13 @@ int run_node(transport::TcpNodeEndpoint& ep, cube::NodeId p,
 }
 
 void halt_process(const sim::Ctx& ctx, const fault::NodeFault& f,
-                  std::vector<Death>& deaths) {
+                  const NodeJob& job) {
   if (f.kill_process) {
     if (ctx.remote()) transport::kill_self();
-    deaths.push_back({ctx.id(), transport::DeathCause::kExit});
+    job.deaths->push_back({ctx.id(), transport::DeathCause::kExit});
   } else if (f.wedge_process) {
     if (ctx.remote()) transport::wedge_self();
-    deaths.push_back({ctx.id(), transport::DeathCause::kSilence});
+    job.deaths->push_back({ctx.id(), transport::DeathCause::kSilence});
   }
 }
 

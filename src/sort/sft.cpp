@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 
 #include "hypercube/masks.h"
@@ -22,27 +21,6 @@ struct CkptUpload {
   std::vector<Key> slice;  // window representative (lowest label) only
   Key digest = 0;          // every other window member
   bool is_slice = false;
-};
-
-struct SftShared {
-  SftOptions opts;
-  int dim = 0;
-  std::size_t m = 1;
-  int start_stage = 0;          // resume_sft: first stage to execute
-  // Views into caller storage (alive for the whole run): no per-run copy.
-  std::span<const Key> resume_llbs;  // resume_sft: C_{start_stage-1}, full cube
-  std::span<const Key> input;
-  // Where finished blocks land: the whole cube's output on the simulator; in
-  // a node process, only that node's m-key slot of its fabric (out_first).
-  std::span<Key> output;
-  cube::NodeId out_first = 0;
-  std::vector<CkptUpload> uploads;
-  std::vector<Death> deaths;  // simulator only: scripted process deaths
-
-  const fault::NodeFault* fault_for(cube::NodeId p) const {
-    auto it = opts.node_faults.find(p);
-    return it == opts.node_faults.end() ? nullptr : &it->second;
-  }
 };
 
 // Order-sensitive FNV-1a fold over a key slice; the digest the non-
@@ -76,7 +54,8 @@ struct NodeState {
   explicit NodeState(sim::KeyPool& pool) : a(pool), lbs(pool), llbs(pool) {}
 
   sim::Ctx* ctx = nullptr;
-  SftShared* sh = nullptr;
+  const fleet::NodeJob* job = nullptr;
+  std::size_t m = 1;
   const fault::NodeFault* fault = nullptr;
   bool silent = false;  // complicit checker: swallows every violation
 
@@ -98,7 +77,6 @@ struct NodeState {
 
   // The window region of `lbs` as a read-only view.
   std::span<const Key> window_slice(const cube::Subcube& w) const {
-    const std::size_t m = sh->m;
     return std::span<const Key>(lbs).subspan(
         static_cast<std::size_t>(w.start) * m,
         static_cast<std::size_t>(w.size()) * m);
@@ -108,8 +86,7 @@ struct NodeState {
   // a fail-stop error.
   bool merge_received(const sim::Message& msg, const util::BitVec& sender_cover,
                       const cube::Subcube& window, int i, int j) {
-    const std::size_t m = sh->m;
-    const auto& cm = sh->opts.cost;
+    const auto& cm = job->cfg.cost;
     if (msg.lbs.size() != static_cast<std::size_t>(window.size()) * m)
       return !flag({0, i, j, sim::ErrorSource::kPhiC, "malformed LBS slice"});
     // Charge the mask computation (Lemma 7) and the merge scan (Lemma 9).
@@ -118,7 +95,7 @@ struct NodeState {
     obs::ScopedPredContext at(ctx->id(), i, j, ctx->clock());
     auto violation = phi_c_merge(lbs, lmask, msg.lbs, sender_cover, window, m, &stats);
     ctx->charge(cm.merge_entry * static_cast<double>(stats.checked + stats.absorbed));
-    if (violation && sh->opts.check_consistency)
+    if (violation && job->cfg.check_consistency)
       return !flag({0, i, j, sim::ErrorSource::kPhiC, violation->what});
     return true;
   }
@@ -127,10 +104,10 @@ struct NodeState {
   // the merge must be direction-sorted and contain the block it contributed.
   bool check_pair(std::span<const Key> merged, std::span<const Key> mine,
                   bool asc, int i, int j) {
-    const auto& cm = sh->opts.cost;
+    const auto& cm = job->cfg.cost;
     ctx->charge(cm.cmp * static_cast<double>(merged.size() + mine.size()));
-    if (!sh->opts.check_exchange) return true;
-    const bool ok = merged.size() == 2 * sh->m &&
+    if (!job->cfg.check_exchange) return true;
+    const bool ok = merged.size() == 2 * m &&
                     blockops::is_sorted_dir(merged, asc) &&
                     blockops::contains_submultiset(merged, mine, asc);
     if (auto* tr = obs::tracer())
@@ -148,8 +125,7 @@ struct NodeState {
   // ablation toggles.  Returns false after signalling.
   bool verify_stage(const cube::Subcube& outer, const cube::Subcube& inner,
                     bool inner_ascending, bool final_stage, int i) {
-    const std::size_t m = sh->m;
-    const auto& cm = sh->opts.cost;
+    const auto& cm = job->cfg.cost;
     const auto window_span = [&](const sim::KeyBuf& full,
                                  const cube::Subcube& sc) {
       return std::span<const Key>(full).subspan(
@@ -157,13 +133,13 @@ struct NodeState {
           static_cast<std::size_t>(sc.size()) * m);
     };
     obs::ScopedPredContext at(ctx->id(), i, -1, ctx->clock());
-    if (sh->opts.check_progress) {
+    if (job->cfg.check_progress) {
       ctx->charge(cm.cmp * static_cast<double>(outer.size() * m));
       if (auto v = phi_p(window_span(lbs, outer), final_stage)) {
         if (flag({0, i, -1, source_of(*v), v->what})) return false;
       }
     }
-    if (sh->opts.check_feasibility) {
+    if (job->cfg.check_feasibility) {
       ctx->charge(2.0 * cm.cmp * static_cast<double>(inner.size() * m));
       if (auto v = phi_f(window_span(llbs, inner), window_span(lbs, inner),
                          inner_ascending)) {
@@ -174,25 +150,24 @@ struct NodeState {
   }
 };
 
-sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
+sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
   const cube::NodeId me = ctx.id();
-  const int n = sh.dim;
-  const std::size_t m = sh.m;
+  const int n = static_cast<int>(job.cfg.dim);
+  const std::size_t m = job.cfg.block;
   const std::size_t num_nodes = ctx.topo().num_nodes();
-  const auto& cm = sh.opts.cost;
+  const auto& cm = job.cfg.cost;
 
   NodeState st(ctx.pool());
   st.ctx = &ctx;
-  st.sh = &sh;
-  st.fault = sh.fault_for(me);
+  st.job = &job;
+  st.m = m;
+  st.fault = job.fault_for(me);
   st.silent = st.fault != nullptr && st.fault->silent_checker;
 
-  st.a.assign(sh.input.begin() + static_cast<std::ptrdiff_t>(me * m),
-              sh.input.begin() + static_cast<std::ptrdiff_t>((me + 1) * m));
+  st.a.assign(job.input.begin() + static_cast<std::ptrdiff_t>(me * m),
+              job.input.begin() + static_cast<std::ptrdiff_t>((me + 1) * m));
   auto write_out = [&] {
-    std::copy(st.a.begin(), st.a.end(),
-              sh.output.begin() +
-                  static_cast<std::ptrdiff_t>((me - sh.out_first) * m));
+    std::copy(st.a.begin(), st.a.end(), job.out_block(me).begin());
   };
 
   if (n == 0) {  // single node: a local sort, nothing to verify against peers
@@ -202,7 +177,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
     co_return;
   }
 
-  const int start = sh.start_stage;
+  const int start = job.cfg.start_stage;
   if (start == 0) {
     // Initial local sort.  The direction alternates on bit 0 so that, per
     // pair, the flattened initial blocks already form an ascending-then-
@@ -228,8 +203,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
     // (Φ_F reads nothing outside it), so downstream state stays bit-identical.
     const auto prev = cube::home_subcube(start, me);
     std::copy(
-        sh.resume_llbs.begin() + static_cast<std::ptrdiff_t>(prev.start * m),
-        sh.resume_llbs.begin() + static_cast<std::ptrdiff_t>((prev.end + 1) * m),
+        job.llbs.begin() + static_cast<std::ptrdiff_t>(prev.start * m),
+        job.llbs.begin() + static_cast<std::ptrdiff_t>((prev.end + 1) * m),
         st.llbs.begin() + static_cast<std::ptrdiff_t>(prev.start * m));
   }
   st.lmask = util::BitVec(num_nodes);
@@ -264,7 +239,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
 
     for (int j = i; j >= 0; --j) {
       if (st.fault && st.fault->halt_at && fault::reached(*st.fault->halt_at, i, j)) {
-        fleet::halt_process(ctx, *st.fault, sh.deaths);
+        fleet::halt_process(ctx, *st.fault, job);
         write_out();
         co_return;  // fail-silent; peers' watchdogs flag the absence
       }
@@ -299,7 +274,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
           blockops::sort_dir(theirs, st.cur_asc, ctx.pool());
         }
         ctx.charge(cm.cmp * static_cast<double>(m));
-        if (sh.opts.check_exchange && j == i) {
+        if (job.cfg.check_exchange && j == i) {
           // At the first iteration of a stage the partner's gossip must carry
           // exactly the operand it sent: a node cannot tell the compare-
           // exchange one value and the collective check another.  The gossip
@@ -376,7 +351,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
         co_return;
       }
     }
-    if (sh.opts.observer) {
+    if (job.observer != nullptr) {
       StageSnapshot snap;
       snap.node = me;
       snap.stage = i;
@@ -386,9 +361,9 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
       snap.llbs_window.assign(
           st.llbs.begin() + static_cast<std::ptrdiff_t>(window.start * m),
           st.llbs.begin() + static_cast<std::ptrdiff_t>((window.end + 1) * m));
-      sh.opts.observer(snap);
+      (*job.observer)(snap);
     }
-    if (sh.opts.checkpoint) {
+    if (job.cfg.checkpoint) {
       // Upload the just-validated window to the host: the window's lowest
       // label ships the slice, every other member only a digest, so one stage
       // boundary costs the host N*m words plus N-per-stage digest messages.
@@ -425,7 +400,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
   const double final_t0 = ctx.clock();
   for (int j = fi; j >= 0; --j) {
     if (st.fault && st.fault->halt_at && fault::reached(*st.fault->halt_at, n, j)) {
-      fleet::halt_process(ctx, *st.fault, sh.deaths);
+      fleet::halt_process(ctx, *st.fault, job);
       write_out();
       co_return;
     }
@@ -478,7 +453,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
   }
   if (auto* tr = obs::tracer())
     tr->span(obs::Ev::kStage, me, n, final_t0, ctx.clock());
-  if (sh.opts.observer) {
+  if (job.observer != nullptr) {
     StageSnapshot snap;
     snap.node = me;
     snap.stage = n;
@@ -486,7 +461,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
     const auto lbs_window = st.window_slice(cube_window);
     snap.lbs_window.assign(lbs_window.begin(), lbs_window.end());
     snap.llbs_window.assign(st.llbs.begin(), st.llbs.end());
-    sh.opts.observer(snap);
+    (*job.observer)(snap);
   }
   write_out();
   co_return;
@@ -495,7 +470,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
 // Host-side checkpoint collector.  Drains the inbox until global quiescence
 // (the watchdog fails the receive once the sort is over — Environmental
 // Assumption 4 works for the host too); error reports pass through untouched.
-sim::SimTask ckpt_collector(sim::HostCtx& host, SftShared& sh) {
+sim::SimTask ckpt_collector(sim::HostCtx& host,
+                            std::vector<CkptUpload>& uploads) {
   for (;;) {
     auto r = co_await host.recv();
     if (!r.ok) co_return;
@@ -512,7 +488,7 @@ sim::SimTask ckpt_collector(sim::HostCtx& host, SftShared& sh) {
     } else if (!r.msg.data.empty()) {
       up.digest = r.msg.data.front();
     }
-    sh.uploads.push_back(std::move(up));
+    uploads.push_back(std::move(up));
   }
 }
 
@@ -523,12 +499,14 @@ sim::SimTask ckpt_collector(sim::HostCtx& host, SftShared& sh) {
 // in its direction-bit orientation — the exact invariants a resume relies on.
 // Colluding forgeries that survive all three are still permutations of the
 // input, so a resumed sort of one still yields the correct sorted output.
-std::vector<StageCheckpoint> certify_checkpoints(const SftShared& sh) {
-  const int n = sh.dim;
-  const std::size_t m = sh.m;
+std::vector<StageCheckpoint> certify_checkpoints(
+    const transport::JobConfig& cfg, std::span<const Key> input,
+    std::span<const CkptUpload> uploads) {
+  const int n = static_cast<int>(cfg.dim);
+  const std::size_t m = cfg.block;
   const cube::NodeId num_nodes = cube::NodeId{1} << n;
   std::vector<StageCheckpoint> out;
-  for (int i = sh.start_stage; i < n; ++i) {
+  for (int i = cfg.start_stage; i < n; ++i) {
     StageCheckpoint ck;
     ck.stage = i;
     ck.state.assign(num_nodes * m, 0);
@@ -537,13 +515,13 @@ std::vector<StageCheckpoint> certify_checkpoints(const SftShared& sh) {
     for (cube::NodeId ws = 0; ws < num_nodes; ws += wsize) {
       const CkptUpload* rep = nullptr;
       int digests_ok = 0;
-      for (const auto& up : sh.uploads) {
+      for (const auto& up : uploads) {
         if (up.stage != i || up.node < ws || up.node >= ws + wsize) continue;
         if (up.node == ws && up.is_slice) rep = &up;
       }
       if (rep == nullptr || rep->slice.size() != wsize * m) continue;
       const Key expect = slice_digest(rep->slice);
-      for (const auto& up : sh.uploads)
+      for (const auto& up : uploads)
         if (up.stage == i && up.node > ws && up.node < ws + wsize &&
             !up.is_slice && up.digest == expect)
           ++digests_ok;
@@ -553,7 +531,7 @@ std::vector<StageCheckpoint> certify_checkpoints(const SftShared& sh) {
       ++ck.windows_agreed;
     }
     if (ck.windows_agreed == ck.windows_total &&
-        is_permutation_of(ck.state, sh.input)) {
+        is_permutation_of(ck.state, input)) {
       ck.certified = true;
       const cube::NodeId ssize = cube::NodeId{1} << i;
       for (cube::NodeId s = 0; s < num_nodes && ck.certified; s += ssize) {
@@ -567,118 +545,49 @@ std::vector<StageCheckpoint> certify_checkpoints(const SftShared& sh) {
   return out;
 }
 
-// ---- process fabrics (sort/fleet.h) -----------------------------------------
-
-// Options -> JobConfig: what every node process is told about the job.
-transport::JobConfig job_config(const SftShared& sh) {
+// Options -> JobConfig: everything a node program reads about the job, on
+// every fabric.
+transport::JobConfig job_config(int dim, const SftOptions& o, int start_stage) {
   transport::JobConfig cfg;
-  cfg.dim = static_cast<std::uint32_t>(sh.dim);
-  cfg.block = sh.m;
-  cfg.start_stage = sh.start_stage;
+  cfg.dim = static_cast<std::uint32_t>(dim);
+  cfg.block = o.block;
+  cfg.start_stage = start_stage;
   cfg.algo = 0;
-  cfg.checkpoint = sh.opts.checkpoint;
-  cfg.record_events = sh.opts.record_link_events;
-  cfg.with_resume = sh.start_stage > 0;
-  cfg.check_progress = sh.opts.check_progress;
-  cfg.check_feasibility = sh.opts.check_feasibility;
-  cfg.check_consistency = sh.opts.check_consistency;
-  cfg.check_exchange = sh.opts.check_exchange;
-  cfg.cost = sh.opts.cost;
+  cfg.checkpoint = o.checkpoint;
+  cfg.record_events = o.record_link_events;
+  cfg.with_resume = start_stage > 0;
+  cfg.check_progress = o.check_progress;
+  cfg.check_feasibility = o.check_feasibility;
+  cfg.check_consistency = o.check_consistency;
+  cfg.check_exchange = o.check_exchange;
+  cfg.cost = o.cost;
   return cfg;
 }
 
-// JobConfig -> Options: a node process rebuilds the run's state from the job
-// its fabric delivered.
-SftShared shared_of(const fleet::NodeJob& job) {
-  SftShared sh;
-  sh.dim = static_cast<int>(job.cfg.dim);
-  sh.m = static_cast<std::size_t>(job.cfg.block);
-  sh.start_stage = job.cfg.start_stage;
-  sh.opts.block = sh.m;
-  sh.opts.cost = job.cfg.cost;
-  sh.opts.check_progress = job.cfg.check_progress != 0;
-  sh.opts.check_feasibility = job.cfg.check_feasibility != 0;
-  sh.opts.check_consistency = job.cfg.check_consistency != 0;
-  sh.opts.check_exchange = job.cfg.check_exchange != 0;
-  sh.opts.checkpoint = job.cfg.checkpoint != 0;
-  sh.opts.record_link_events = job.cfg.record_events != 0;
-  sh.opts.node_faults = job.faults;
-  sh.input = job.input;
-  sh.resume_llbs = job.llbs;
-  return sh;
-}
-
-// Node p's S_FT program inside its own process, forked or exec'd.  The node
-// writes its block straight into the fabric's `out` slot.
-void process_node(const fleet::NodeJob& job, sim::Machine& mach,
-                  cube::NodeId p, std::span<Key> out) {
-  SftShared sh = shared_of(job);
-  sh.output = out;
-  sh.out_first = p;
-  mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); });
-}
-
-SortRun run_on_fleet(SftShared& sh) {
-  const auto& o = sh.opts;
+// `input` is the start state (the input, or C_start on a resume) and `llbs`
+// C_{start-1}; both are views into caller storage that outlives the run.
+SortRun run_sft_impl(const transport::JobConfig& cfg,
+                     std::span<const Key> input, std::span<const Key> llbs,
+                     const SftOptions& o) {
+  if (auto* tr = obs::tracer())
+    tr->instant(obs::Ev::kRunBegin, obs::kGlobal, cfg.start_stage, -1, 0.0,
+                cfg.dim, static_cast<std::int64_t>(cfg.block));
+  std::vector<CkptUpload> uploads;
   sim::HostMain host;
   if (o.checkpoint)
-    host = [&sh](sim::HostCtx& h) { return ckpt_collector(h, sh); };
-  return fleet::run(
-      {.backend = o.backend,
-       .shm = o.shm,
-       .tcp = o.tcp,
-       .cfg = job_config(sh),
-       .input = sh.input,
-       .llbs = sh.resume_llbs,
-       .faults = o.node_faults,
-       .interceptor = o.interceptor,
-       .machine = o.machine,
-       .observer = static_cast<bool>(o.observer)},
-      process_node, host);
-}
-
-SortRun run_on_sim(int dim, SftShared& sh) {
-  // Run on the caller's machine when provided (reset() keeps its pool and
-  // channel storage warm across campaign scenarios); construct one otherwise.
-  std::optional<sim::Machine> owned;
-  sim::Machine* machine = sh.opts.machine;
-  if (machine != nullptr) {
-    if (machine->topo().dimension() != dim)
-      throw std::invalid_argument(
-          "SftOptions::machine topology dimension does not match the sort");
-    machine->reset(sh.opts.cost);
-  } else {
-    owned.emplace(cube::Topology{dim}, sh.opts.cost);
-    machine = &*owned;
-  }
-  machine->set_interceptor(sh.opts.interceptor);
-  machine->record_link_events(sh.opts.record_link_events);
-  std::vector<Key> output(sh.input.size(), 0);
-  sh.output = output;
-  if (sh.opts.checkpoint)
-    machine->run([&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); },
-                 [&sh](sim::HostCtx& host) { return ckpt_collector(host, sh); });
-  else
-    machine->run([&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); });
-
-  SortRun run;
-  run.output = std::move(output);
-  run.errors = machine->errors();
-  run.deaths = std::move(sh.deaths);
-  std::ranges::sort(run.deaths, {}, &Death::node);
-  run.summary = machine->summary();
-  if (sh.opts.record_link_events) run.link_events = machine->link_events();
-  return run;
-}
-
-SortRun run_sft_impl(int dim, SftShared& sh) {
-  if (auto* tr = obs::tracer())
-    tr->instant(obs::Ev::kRunBegin, obs::kGlobal, sh.start_stage, -1, 0.0, dim,
-                static_cast<std::int64_t>(sh.m));
-  SortRun run = sh.opts.backend == transport::Backend::kSim
-                    ? run_on_sim(dim, sh)
-                    : run_on_fleet(sh);
-  if (sh.opts.checkpoint) run.checkpoints = certify_checkpoints(sh);
+    host = [&uploads](sim::HostCtx& h) { return ckpt_collector(h, uploads); };
+  SortRun run = fleet::run({.backend = o.backend,
+                            .cfg = cfg,
+                            .input = input,
+                            .llbs = llbs,
+                            .faults = o.node_faults,
+                            .interceptor = o.interceptor,
+                            .machine = o.machine,
+                            .observer = o.observer ? &o.observer : nullptr,
+                            .shm = &o.shm,
+                            .tcp = &o.tcp},
+                           sft_node, host);
+  if (o.checkpoint) run.checkpoints = certify_checkpoints(cfg, input, uploads);
   if (auto* tr = obs::tracer()) {
     for (const auto& ck : run.checkpoints)
       tr->instant(obs::Ev::kCkptCertify, obs::kHostNode, ck.stage, -1,
@@ -694,12 +603,7 @@ SortRun run_sft_impl(int dim, SftShared& sh) {
 
 SortRun run_sft(int dim, std::span<const Key> input, const SftOptions& opts) {
   require_cube_keys("run_sft input", dim, opts.block, input.size());
-  SftShared sh;
-  sh.opts = opts;
-  sh.dim = dim;
-  sh.m = opts.block;
-  sh.input = input;  // view: the caller's buffer outlives the run
-  return run_sft_impl(dim, sh);
+  return run_sft_impl(job_config(dim, opts, 0), input, {}, opts);
 }
 
 // Declared in sort/driver.h next to ResumeState; lives here with the node
@@ -709,24 +613,18 @@ SortRun resume_sft(int dim, const ResumeState& rs, const SftOptions& opts) {
     throw std::invalid_argument("resume_sft: stage outside [1, dim)");
   require_cube_keys("resume_sft blocks", dim, opts.block, rs.blocks.size());
   require_cube_keys("resume_sft llbs", dim, opts.block, rs.llbs.size());
-  SftShared sh;
-  sh.opts = opts;
-  sh.dim = dim;
-  sh.m = opts.block;
-  sh.start_stage = rs.stage;
-  sh.resume_llbs = rs.llbs;  // views into the caller's ResumeState
-  sh.input = rs.blocks;
-  return run_sft_impl(dim, sh);
+  return run_sft_impl(job_config(dim, opts, rs.stage), rs.blocks, rs.llbs,
+                      opts);
 }
 
 namespace detail {
 
 int run_sft_shm_node(transport::ShmSegment& seg, cube::NodeId p) {
-  return fleet::run_node(seg, p, process_node);
+  return fleet::run_node(seg, p, sft_node);
 }
 
 int run_sft_tcp_node(transport::TcpNodeEndpoint& ep, cube::NodeId p) {
-  return fleet::run_node(ep, p, process_node);
+  return fleet::run_node(ep, p, sft_node);
 }
 
 }  // namespace detail

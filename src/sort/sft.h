@@ -95,14 +95,16 @@ struct SftOptions {
   // outlive the run.
   sim::Machine* machine = nullptr;
 
-  // Which fabric carries the cube (docs/PROTOCOL.md §11).  kSim is the
-  // deterministic single-process oracle; kShm runs one OS process per node
-  // over shared-memory rings and must reproduce the oracle's sorted output
-  // and fail-stop verdicts for identical fault scripts.  kShm rejects
-  // `observer` and `machine` (both are in-process affordances a forked child
-  // cannot share back), an `interceptor` with an exec launcher
-  // (shm.node_binary) and wedge_process scripts, and is limited to
-  // dim <= transport::kMaxShmDim.
+  // Which fabric carries the cube (docs/PROTOCOL.md §11).  Every fabric runs
+  // one node program through one driver (sort/fleet), which hands each node
+  // only the JobConfig built from these options.  kSim is the deterministic
+  // single-process oracle; kShm runs one OS process per node over
+  // shared-memory rings and must reproduce the oracle's sorted output and
+  // fail-stop verdicts for identical fault scripts.  kShm rejects `observer`
+  // and `machine` (both are in-process affordances a forked child cannot
+  // share back), an `interceptor` with an exec launcher (shm.node_binary)
+  // and wedge_process scripts, and is limited to
+  // dim <= transport::kMaxProcessDim.
   transport::Backend backend = transport::Backend::kSim;
   transport::ShmOptions shm;
 

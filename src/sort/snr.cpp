@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <stdexcept>
 
 #include "hypercube/subcube.h"
 #include "sort/blockops.h"
@@ -18,50 +16,33 @@ namespace aoft::sort {
 
 namespace {
 
-struct SnrShared {
-  std::size_t m = 1;
-  sim::CostModel cost{};
-  fault::NodeFaultMap node_faults;
-  int dim = 0;
-  bool with_host = false;  // host-verified variant: gather + Theorem-1 check
-  std::span<const Key> input;  // view into caller storage, alive for the run
-  // Where finished blocks land: the whole cube's output on the simulator; in
-  // a node process, only that node's m-key slot of its fabric (out_first).
-  std::span<Key> output;
-  cube::NodeId out_first = 0;
-  std::vector<Death> deaths;  // simulator only: scripted process deaths
-
-  const fault::NodeFault* fault_for(cube::NodeId p) const {
-    auto it = node_faults.find(p);
-    return it == node_faults.end() ? nullptr : &it->second;
-  }
-};
-
 // Cost of the initial local sort: m·log2(m) comparisons (zero for m = 1).
 double local_sort_cost(const sim::CostModel& cm, std::size_t m) {
   return m > 1 ? cm.cmp * static_cast<double>(m) * std::log2(static_cast<double>(m))
                : 0.0;
 }
 
-sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
+// The S_NR node program.  With `with_host` (the host-verified variant) the
+// node also uploads its input and its claimed-sorted output to the host and
+// awaits the host's Theorem-1 verdict.
+sim::SimTask snr_body(sim::Ctx& ctx, const fleet::NodeJob& job,
+                      bool with_host) {
   const cube::NodeId me = ctx.id();
-  const int n = sh.dim;
-  const std::size_t m = sh.m;
-  const auto& cm = sh.cost;
-  const fault::NodeFault* fault = sh.fault_for(me);
+  const int n = static_cast<int>(job.cfg.dim);
+  const std::size_t m = job.cfg.block;
+  const auto& cm = job.cfg.cost;
+  const fault::NodeFault* fault = job.fault_for(me);
 
   sim::KeyBuf a(ctx.pool());
-  a.assign(sh.input.begin() + static_cast<std::ptrdiff_t>(me * m),
-           sh.input.begin() + static_cast<std::ptrdiff_t>((me + 1) * m));
+  a.assign(job.input.begin() + static_cast<std::ptrdiff_t>(me * m),
+           job.input.begin() + static_cast<std::ptrdiff_t>((me + 1) * m));
   // Merge-split scratch, reused across every iteration of every stage.
   sim::KeyBuf merged(ctx.pool());
   auto write_out = [&] {
-    std::copy(a.begin(), a.end(),
-              sh.output.begin() +
-                  static_cast<std::ptrdiff_t>((me - sh.out_first) * m));
+    std::copy(a.begin(), a.end(), job.out_block(me).begin());
   };
 
-  if (sh.with_host) {
+  if (with_host) {
     sim::Message up(ctx.pool());
     up.kind = sim::MsgKind::kHostGather;
     up.tag = 0;  // unsorted input
@@ -91,7 +72,7 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
 
     for (int j = i; j >= 0; --j) {
       if (fault && fault->halt_at && fault::reached(*fault->halt_at, i, j)) {
-        fleet::halt_process(ctx, *fault, sh.deaths);
+        fleet::halt_process(ctx, *fault, job);
         write_out();
         co_return;  // fail-silent: peers see message absence
       }
@@ -142,7 +123,7 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
   }
   write_out();
 
-  if (sh.with_host && completed) {
+  if (with_host && completed) {
     sim::Message up(ctx.pool());
     up.kind = sim::MsgKind::kHostGather;
     up.tag = 1;  // claimed-sorted output
@@ -161,12 +142,21 @@ sim::SimTask snr_node(sim::Ctx& ctx, SnrShared& sh) {
   co_return;
 }
 
+sim::SimTask snr_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
+  return snr_body(ctx, job, false);
+}
+
+sim::SimTask snr_verified_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
+  return snr_body(ctx, job, true);
+}
+
 // Host side of the host-verified variant: collect input and output, apply the
 // Theorem-1 assertion (output non-decreasing and a permutation of the input),
 // and broadcast the verdict.
-sim::SimTask verify_host(sim::HostCtx& host, SnrShared& sh) {
-  const std::size_t num_nodes = std::size_t{1} << sh.dim;
-  const std::size_t m = sh.m;
+sim::SimTask verify_host(sim::HostCtx& host,
+                         const transport::JobConfig& cfg) {
+  const std::size_t num_nodes = std::size_t{1} << cfg.dim;
+  const std::size_t m = cfg.block;
   const std::size_t total = num_nodes * m;
   std::vector<Key> initial(total, 0), sorted(total, 0);
   std::vector<bool> got_sorted(num_nodes, false);
@@ -189,19 +179,19 @@ sim::SimTask verify_host(sim::HostCtx& host, SnrShared& sh) {
   bool ok = complete;
   if (ok) {
     // Theorem 1, part 2: non-decreasing output.
-    host.charge(sh.cost.host_cmp * static_cast<double>(total));
+    host.charge(cfg.cost.host_cmp * static_cast<double>(total));
     ok = is_non_decreasing(sorted);
   }
   if (ok) {
     // Theorem 1, part 1: output is a permutation of the input.  Matching the
     // two lists is equivalent to finding the permutation: O(K·log K).
     const double k = static_cast<double>(total);
-    host.charge(sh.cost.host_cmp * (k * std::log2(std::max(k, 2.0)) + k));
+    host.charge(cfg.cost.host_cmp * (k * std::log2(std::max(k, 2.0)) + k));
     ok = is_permutation_of(sorted, initial);
   }
 
   if (!ok)
-    host.error({0, sh.dim, -1, sim::ErrorSource::kApp,
+    host.error({0, static_cast<int>(cfg.dim), -1, sim::ErrorSource::kApp,
                 complete ? "Theorem 1 assertion failed on uploaded output"
                          : "some node never uploaded its output"});
 
@@ -215,121 +205,54 @@ sim::SimTask verify_host(sim::HostCtx& host, SnrShared& sh) {
   co_return;
 }
 
-SortRun finish(sim::Machine& machine, SnrShared& sh, std::vector<Key> output) {
-  SortRun run;
-  run.output = std::move(output);
-  run.errors = machine.errors();
-  run.deaths = std::move(sh.deaths);
-  std::ranges::sort(run.deaths, {}, &Death::node);
-  run.summary = machine.summary();
-  return run;
-}
-
-// ---- process fabrics (sort/fleet.h) -----------------------------------------
-
-// Options -> JobConfig: what every node process is told about the job.
-transport::JobConfig job_config(int dim, const SnrOptions& opts) {
+// Options -> JobConfig: everything a node program reads about the job.
+transport::JobConfig job_config(int dim, std::size_t block,
+                                const sim::CostModel& cost) {
   transport::JobConfig cfg;
   cfg.dim = static_cast<std::uint32_t>(dim);
-  cfg.block = opts.block;
+  cfg.block = block;
   cfg.algo = 1;
-  cfg.cost = opts.cost;
+  cfg.cost = cost;
   return cfg;
-}
-
-// JobConfig -> Options: a node process rebuilds the run's state from the job
-// its fabric delivered.
-SnrShared shared_of(const fleet::NodeJob& job) {
-  SnrShared sh;
-  sh.dim = static_cast<int>(job.cfg.dim);
-  sh.m = static_cast<std::size_t>(job.cfg.block);
-  sh.cost = job.cfg.cost;
-  sh.node_faults = job.faults;
-  sh.input = job.input;
-  return sh;
-}
-
-// Node p's S_NR program inside its own process, forked or exec'd.  The node
-// writes its block straight into the fabric's `out` slot.
-void process_node(const fleet::NodeJob& job, sim::Machine& mach,
-                  cube::NodeId p, std::span<Key> out) {
-  SnrShared sh = shared_of(job);
-  sh.output = out;
-  sh.out_first = p;
-  mach.run_remote_node(p, [&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); });
 }
 
 }  // namespace
 
 SortRun run_snr(int dim, std::span<const Key> input, const SnrOptions& opts) {
   require_cube_keys("run_snr input", dim, opts.block, input.size());
-  if (opts.backend != transport::Backend::kSim)
-    return fleet::run({.backend = opts.backend,
-                       .shm = opts.shm,
-                       .tcp = opts.tcp,
-                       .cfg = job_config(dim, opts),
-                       .input = input,
-                       .llbs = {},
-                       .faults = opts.node_faults,
-                       .interceptor = opts.interceptor,
-                       .machine = opts.machine,
-                       .observer = false},
-                      process_node);
-
-  SnrShared sh;
-  sh.m = opts.block;
-  sh.cost = opts.cost;
-  sh.node_faults = opts.node_faults;
-  sh.dim = dim;
-  sh.input = input;
-  std::vector<Key> output(input.size(), 0);
-  sh.output = output;
-
-  std::optional<sim::Machine> owned;
-  sim::Machine* machine = opts.machine;
-  if (machine != nullptr) {
-    if (machine->topo().dimension() != dim)
-      throw std::invalid_argument(
-          "SnrOptions::machine topology dimension does not match the sort");
-    machine->reset(opts.cost);
-  } else {
-    owned.emplace(cube::Topology{dim}, opts.cost);
-    machine = &*owned;
-  }
-  machine->set_interceptor(opts.interceptor);
-  machine->run([&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); });
-  return finish(*machine, sh, std::move(output));
+  return fleet::run({.backend = opts.backend,
+                     .cfg = job_config(dim, opts.block, opts.cost),
+                     .input = input,
+                     .faults = opts.node_faults,
+                     .interceptor = opts.interceptor,
+                     .machine = opts.machine,
+                     .shm = &opts.shm,
+                     .tcp = &opts.tcp},
+                    snr_node);
 }
 
 SortRun run_host_verified_snr(int dim, std::span<const Key> input,
                               const HostVerifyOptions& opts) {
   require_cube_keys("run_host_verified_snr input", dim, opts.block,
                     input.size());
-  SnrShared sh;
-  sh.m = opts.block;
-  sh.cost = opts.cost;
-  sh.node_faults = opts.node_faults;
-  sh.dim = dim;
-  sh.with_host = true;
-  sh.input = input;
-  std::vector<Key> output(input.size(), 0);
-  sh.output = output;
-
-  sim::Machine machine(cube::Topology{dim}, opts.cost);
-  machine.set_interceptor(opts.interceptor);
-  machine.run([&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); },
-              [&sh](sim::HostCtx& host) { return verify_host(host, sh); });
-  return finish(machine, sh, std::move(output));
+  const transport::JobConfig cfg = job_config(dim, opts.block, opts.cost);
+  return fleet::run({.cfg = cfg,
+                     .input = input,
+                     .faults = opts.node_faults,
+                     .interceptor = opts.interceptor},
+                    snr_verified_node, [&cfg](sim::HostCtx& host) {
+                      return verify_host(host, cfg);
+                    });
 }
 
 namespace detail {
 
 int run_snr_shm_node(transport::ShmSegment& seg, cube::NodeId p) {
-  return fleet::run_node(seg, p, process_node);
+  return fleet::run_node(seg, p, snr_node);
 }
 
 int run_snr_tcp_node(transport::TcpNodeEndpoint& ep, cube::NodeId p) {
-  return fleet::run_node(ep, p, process_node);
+  return fleet::run_node(ep, p, snr_node);
 }
 
 }  // namespace detail

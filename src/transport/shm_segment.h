@@ -61,7 +61,6 @@
 
 namespace aoft::transport {
 
-inline constexpr int kMaxShmDim = kMaxProcessDim;  // shared multi-process cap
 inline constexpr char kSegmentMagic[8] = {'A', 'O', 'F', 'T',
                                           'S', 'H', 'M', '1'};
 inline constexpr std::uint32_t kSegmentVersion = 2;

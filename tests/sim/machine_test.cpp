@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/remote.h"
+
 namespace aoft::sim {
 namespace {
 
@@ -41,13 +43,58 @@ TEST(MachineTest, SecondRunThrows) {
   EXPECT_THROW(machine.run(noop), std::logic_error);
 }
 
-TEST(MachineTest, RunPerNodeAlsoEnforcesRunOnce) {
+// A rejected second run leaves the first run's results readable.
+TEST(MachineTest, FailedRerunLeavesResultsReadable) {
   Machine machine(cube::Topology{1}, CostModel{});
-  std::vector<NodeMain> mains(2, [](Ctx&) -> SimTask { co_return; });
-  machine.run_per_node(mains);
-  EXPECT_THROW(machine.run_per_node(mains), std::logic_error);
-  // A failed re-run leaves the first run's results readable.
-  EXPECT_TRUE(machine.errors().empty());
+  auto flag_node1 = [](Ctx& ctx) -> SimTask {
+    if (ctx.id() == 1) ctx.error({0, 0, -1, ErrorSource::kApp, "first run"});
+    co_return;
+  };
+  machine.run(flag_node1);
+  EXPECT_THROW(machine.run(flag_node1), std::logic_error);
+  ASSERT_EQ(machine.errors().size(), 1u);
+  EXPECT_EQ(machine.errors().front().node, 1u);
+}
+
+// A link with nothing to deliver and no peer left to wait for.
+class SilentLink final : public RemoteLink {
+ public:
+  void send_node(cube::NodeId, cube::NodeId, const Message&,
+                 std::span<const Key>) override {}
+  void send_host(cube::NodeId, const Message&, std::span<const Key>) override {}
+  void send_from_host(cube::NodeId, const Message&,
+                      std::span<const Key>) override {}
+  std::size_t pump(KeyPool&, const Deliver&) override { return 0; }
+  bool wait_activity(std::span<const cube::NodeId>) override { return false; }
+};
+
+// With a remote link attached, run() drives only the local endpoint: the
+// node given to attach_remote, or the host.
+TEST(MachineTest, RemoteRunDrivesOnlyTheLocalEndpoint) {
+  SilentLink link;
+  std::vector<cube::NodeId> ran;
+  bool host_ran = false;
+  const NodeMain node = [&ran](Ctx& ctx) -> SimTask {
+    ran.push_back(ctx.id());
+    co_return;
+  };
+  const HostMain host = [&host_ran](HostCtx&) -> SimTask {
+    host_ran = true;
+    co_return;
+  };
+
+  Machine machine(cube::Topology{2}, CostModel{});
+  machine.attach_remote(&link, 2);
+  machine.run(node, host);
+  EXPECT_EQ(ran, std::vector<cube::NodeId>{2});
+  EXPECT_FALSE(host_ran);
+
+  ran.clear();
+  machine.reset();
+  machine.attach_remote(&link, -1);
+  machine.run({}, host);
+  EXPECT_TRUE(ran.empty());
+  EXPECT_TRUE(host_ran);
 }
 
 TEST(MachineTest, SendChargesSenderByMessageSize) {

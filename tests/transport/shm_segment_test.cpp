@@ -97,7 +97,7 @@ TEST(ShmSegment, AttachRejectsUnknownName) {
 
 TEST(ShmSegment, CreateRejectsOversizedCube) {
   ShmSegment::Config cfg;
-  cfg.dim = kMaxShmDim + 1;
+  cfg.dim = kMaxProcessDim + 1;
   EXPECT_THROW(ShmSegment::create(cfg), std::invalid_argument);
 }
 
