@@ -280,6 +280,25 @@ void Machine::run(const NodeMain& node_main, const HostMain& host_main) {
   // outlive their closure object).
   NodeMain local(node_main);
   HostMain host_local(host_main);
+  if (report_throws_)
+    // Spawn order: every node in id order, then the host; or just the one
+    // local endpoint when a remote link is attached.
+    sched_.set_failure_handler([this](std::size_t task, std::exception_ptr e) {
+      const bool node = remote_ == nullptr ? task < topo_.num_nodes()
+                                           : remote_local_ >= 0;
+      if (!node) return false;
+      try {
+        std::rethrow_exception(e);
+      } catch (const std::exception& ex) {
+        const auto p = remote_ == nullptr
+                           ? static_cast<cube::NodeId>(task)
+                           : static_cast<cube::NodeId>(remote_local_);
+        errors_.push_back({p, -1, -1, ErrorSource::kApp, ex.what()});
+        return true;
+      } catch (...) {
+        return false;
+      }
+    });
   if (remote_ == nullptr) {
     for (cube::NodeId p = 0; p < topo_.num_nodes(); ++p)
       sched_.spawn(local(ctxs_[p]));
@@ -348,6 +367,7 @@ void Machine::reset(const CostModel& cost) {
   remote_local_ = -1;
   interceptor_ = nullptr;
   record_events_ = false;
+  report_throws_ = false;
   events_.clear();
   errors_.clear();
   watchdog_rounds_ = 0;

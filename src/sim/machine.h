@@ -219,6 +219,11 @@ class Machine {
 
   void set_interceptor(LinkInterceptor* interceptor) { interceptor_ = interceptor; }
   void record_link_events(bool on) { record_events_ = on; }
+  // When on, a node program that throws a std::exception ends only that
+  // node: it becomes the error {node, -1, -1, kApp, what()} and the run goes
+  // on, as a node process that throws publishes kFailed on shm and tcp.
+  // Off (the default, and after reset()), run() rethrows it.
+  void report_node_throws(bool on) { report_throws_ = on; }
 
   // Run the local endpoints to completion: `node_main` on every node plus
   // the optional host program; with a remote link attached, only the node
@@ -320,6 +325,7 @@ class Machine {
 
   LinkInterceptor* interceptor_ = nullptr;
   bool record_events_ = false;
+  bool report_throws_ = false;
   std::vector<LinkEvent> events_;
   std::vector<ErrorReport> errors_;
   int watchdog_rounds_ = 0;

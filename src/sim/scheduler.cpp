@@ -20,6 +20,7 @@ void Scheduler::reset() {
   blocked_.clear();
   quiesce_scratch_.clear();
   idle_handler_ = {};
+  failure_handler_ = {};
 }
 
 void Scheduler::spawn(SimTask task) {
@@ -42,6 +43,14 @@ void Scheduler::remove_blocked(Channel* ch) {
   ch->blocked_index_ = -1;
 }
 
+void Scheduler::task_failed(std::coroutine_handle<> h, std::exception_ptr e) {
+  const auto it = std::ranges::find_if(
+      tasks_, [&](SimTask::Handle t) { return t.address() == h.address(); });
+  const auto index = static_cast<std::size_t>(it - tasks_.begin());
+  if (!failure_handler_ || !failure_handler_(index, e))
+    std::rethrow_exception(e);
+}
+
 int Scheduler::run() {
   int watchdog_rounds = 0;
   for (;;) {
@@ -52,7 +61,7 @@ int Scheduler::run() {
       if (h.done()) {
         auto& promise =
             SimTask::Handle::from_address(h.address()).promise();
-        if (promise.exception) std::rethrow_exception(promise.exception);
+        if (promise.exception) task_failed(h, promise.exception);
       }
     }
     if (blocked_.empty()) break;

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <exception>
 #include <functional>
 #include <vector>
 
@@ -50,13 +52,23 @@ class Scheduler {
     idle_handler_ = std::move(handler);
   }
 
+  // Called with the spawn index (0-based, in spawn order) of a task that
+  // ended by throwing, and the exception.  Returning true contains the
+  // failure: the run goes on without that task.  Returning false, or no
+  // handler, rethrows the exception from run().
+  void set_failure_handler(
+      std::function<bool(std::size_t, std::exception_ptr)> handler) {
+    failure_handler_ = std::move(handler);
+  }
+
   // Channels currently holding a suspended receiver; idle handlers map these
   // back to the peers being waited on.
   const std::vector<Channel*>& blocked() const { return blocked_; }
 
   // Drive everything to completion.  Returns the number of watchdog rounds
   // that were needed (0 for a fault-free run of a deadlock-free protocol).
-  // Rethrows the first exception escaping a task (programming error).
+  // Rethrows the first exception escaping a task (programming error) unless
+  // the failure handler contains it.
   int run();
 
   // Destroy all owned frames and empty the queues, keeping their capacity
@@ -67,7 +79,11 @@ class Scheduler {
   std::vector<SimTask::Handle> tasks_;  // owned frames
   util::Ring<std::coroutine_handle<>> ready_;
   std::vector<Channel*> blocked_;
+  // A task ended by throwing: hand it to failure_handler_ or rethrow.
+  void task_failed(std::coroutine_handle<> h, std::exception_ptr e);
+
   std::function<bool()> idle_handler_;
+  std::function<bool(std::size_t, std::exception_ptr)> failure_handler_;
   // Scratch for the watchdog sweep: swapped with blocked_ at quiescence so
   // neither vector's capacity is lost across rounds (std::move would discard
   // the allocation every round).

@@ -181,6 +181,7 @@ SortRun run_sim(const Job& job, NodeProgram node, const sim::HostMain& host) {
   }
   machine->set_interceptor(job.interceptor);
   machine->record_link_events(job.cfg.record_events != 0);
+  machine->report_node_throws(true);  // as shm and tcp report kFailed
   SortRun run;
   run.output.assign(job.input.size(), 0);
   const NodeJob nj{.cfg = job.cfg,
@@ -373,6 +374,10 @@ int run_node(transport::ShmSegment& seg, cube::NodeId p, NodeProgram node,
                       .output = seg.output().subspan(p * cfg.block, cfg.block),
                       .out_first = p};
     sim::Machine mach(cube::Topology{static_cast<int>(cfg.dim)}, cfg.cost);
+    // Every key buffer of this node comes from its arena in the segment:
+    // pages a recycled segment keeps in the page cache, not fresh ones.
+    const std::span<std::byte> arena = seg.arena(p);
+    mach.pool().use_arena(arena.data(), arena.size());
     transport::ShmTransport link(seg, static_cast<std::int32_t>(p));
     slot.state.store(static_cast<std::uint32_t>(transport::SlotState::kRunning),
                      std::memory_order_release);

@@ -28,6 +28,14 @@
 // anonymous buffers must not be prefaulted: a read fault there maps the zero
 // page, and every later write would take a copy-on-write fault.
 //
+// Segment rings also drop each multi-page record's interior pages from the
+// calling process's page tables once the producer has published it, and
+// again once the consumer has released it (MADV_DONTNEED).  On the MAP_SHARED
+// memfd this unmaps only: the bytes stay in the page cache, and the peer's
+// own mapping is untouched, so a child's resident set stops counting every
+// record that ever passed through its rings.  Heap-backed rings must not
+// unmap: on private anonymous memory MADV_DONTNEED discards the bytes.
+//
 // Exactly one process writes (the link's sender) and one reads (the
 // receiver), which is all the sorting protocols need: every hypercube link
 // is point-to-point and directed, and the host links are per-node.  The
@@ -77,8 +85,12 @@ class ShmRing {
   }
 
   ShmRing() = default;
-  ShmRing(ShmRingHdr* hdr, unsigned char* buf, std::uint64_t capacity)
-      : hdr_(hdr), buf_(buf), cap_(capacity), mask_(capacity - 1) {}
+  // `shared`: the buffer is MAP_SHARED segment memory, whose records may be
+  // unmapped once published or consumed (see the file comment).
+  ShmRing(ShmRingHdr* hdr, unsigned char* buf, std::uint64_t capacity,
+          bool shared = false)
+      : hdr_(hdr), buf_(buf), cap_(capacity), mask_(capacity - 1),
+        shared_(shared) {}
 
   // Both cursors back to 0: an empty ring, whatever its buffer holds.
   void reset() {
@@ -109,6 +121,7 @@ class ShmRing {
       at += p.len;
     }
     hdr_->tail.store(tail + need, std::memory_order_release);
+    unmap(tail, need);
     return true;
   }
 
@@ -183,6 +196,7 @@ class ShmRing {
     Record rec(this, head + kPrefix, len);
     consume(rec);
     hdr_->head.store(head + need, std::memory_order_release);
+    unmap(head, need);
     return true;
   }
 
@@ -212,10 +226,30 @@ class ShmRing {
     (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_POPULATE_READ);
   }
 
+  // Segment rings: MADV_DONTNEED over the whole pages inside the record of
+  // `need` ring bytes at cursor `pos`, at most two spans split at the wrap
+  // point.  Pages the record shares with its neighbours stay mapped.
+  void unmap(std::uint64_t pos, std::uint64_t need) const {
+    static const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+    if (!shared_ || need < 2 * page) return;
+    const std::uint64_t at = pos & mask_;
+    const std::uint64_t first = need < cap_ - at ? need : cap_ - at;
+    drop(buf_ + at, first, page);
+    if (need > first) drop(buf_, need - first, page);
+  }
+  static void drop(unsigned char* p, std::uint64_t n, std::uint64_t page) {
+    const auto lo =
+        (reinterpret_cast<std::uintptr_t>(p) + page - 1) & ~(page - 1);
+    const auto hi = (reinterpret_cast<std::uintptr_t>(p) + n) & ~(page - 1);
+    if (hi > lo)
+      (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+  }
+
   ShmRingHdr* hdr_ = nullptr;
   unsigned char* buf_ = nullptr;
   std::uint64_t cap_ = 0;
   std::uint64_t mask_ = 0;
+  bool shared_ = false;
 };
 
 }  // namespace aoft::transport

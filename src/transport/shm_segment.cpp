@@ -34,6 +34,21 @@ std::uint64_t next_pow2(std::uint64_t v) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
+std::uint64_t page_up(std::uint64_t v) {
+  static const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  return (v + page - 1) / page * page;
+}
+
+// One node's key arena.  A fault-free S_FT node peaks at about six
+// full-cube windows of N*m keys (a, lbs, llbs, the radix scratch and the
+// messages in flight; measured at dims 1-4, docs/PROTOCOL.md §11.1), so
+// eight windows plus 8m leave room for first-fit fragmentation and faulty
+// runs.  Beyond it a node's pool falls back to the heap.
+std::uint64_t arena_keys(std::uint64_t dim, std::uint64_t m) {
+  const std::uint64_t window = (std::uint64_t{1} << dim) * m;
+  return 8 * window + 8 * m;
+}
+
 // One ring's footprint: header plus power-of-two buffer.
 std::uint64_t ring_footprint(std::uint64_t buf_bytes) {
   return sizeof(ShmRingHdr) + buf_bytes;
@@ -108,6 +123,10 @@ ShmSegment ShmSegment::create(const Config& cfg) {
           ? 8 * static_cast<std::uint32_t>(cfg.dim * cfg.dim + 2 * cfg.dim + 8)
           : 0;
 
+  hd.arena_bytes = page_up(arena_keys(cfg.dim, m) * sizeof(sim::Key));
+
+  // Everything a job reads before writing it comes first, so a recycled
+  // segment zeroes one prefix (see the header comment).
   std::uint64_t off = align_up(sizeof(SegmentHeader));
   hd.off_faults = off;
   off = align_up(off + n * sizeof(WireFault));
@@ -115,12 +134,14 @@ ShmSegment ShmSegment::create(const Config& cfg) {
   off = align_up(off + n * sizeof(NodeSlot));
   hd.off_events = off;
   off = align_up(off + n * hd.event_cap * sizeof(WireLinkEvent));
+  hd.off_output = off;
+  off = align_up(off + keys * sizeof(sim::Key));
   hd.off_input = off;
   off = align_up(off + keys * sizeof(sim::Key));
   hd.off_llbs = off;
   off = align_up(off + keys * sizeof(sim::Key));
-  hd.off_output = off;
-  off = align_up(off + keys * sizeof(sim::Key));
+  hd.off_arenas = page_up(off);
+  off = hd.off_arenas + n * hd.arena_bytes;
   hd.off_rings = off;
   off = align_up(off + n * ring_block_bytes(hd));
   hd.total_bytes = off;
@@ -140,10 +161,12 @@ ShmSegment ShmSegment::create(const Config& cfg) {
     seg.name_ = proc_fd_path(seg.creator_, seg.fd_);
     // A fresh memfd reads as zeros: the rings' and cursors' initial state.
   } else {
-    // A recycled segment: everything below the rings and every ring header
-    // starts over; the ring buffers keep stale bytes no reader can reach,
-    // since every cursor restarts at 0.
-    std::memset(seg.base_, 0, hd.off_rings);
+    // A recycled segment: the header, faults, slots, events and output
+    // start over, as does every ring header below.  The input (overwritten
+    // whole by the creator), llbs (written whole before a resumed job reads
+    // it), the arenas and the ring buffers keep stale bytes no reader can
+    // reach.
+    std::memset(seg.base_, 0, hd.off_input);
   }
 
   // The header and the slot atomics get formal stores so no thread ever
@@ -265,6 +288,12 @@ std::span<sim::Key> ShmSegment::llbs() {
   return {reinterpret_cast<sim::Key*>(at(header().off_llbs)), keys};
 }
 
+std::span<std::byte> ShmSegment::arena(cube::NodeId p) {
+  const auto& hd = header();
+  return {reinterpret_cast<std::byte*>(at(hd.off_arenas + p * hd.arena_bytes)),
+          hd.arena_bytes};
+}
+
 std::span<sim::Key> ShmSegment::output() {
   const std::size_t keys = num_nodes() * header().block;
   return {reinterpret_cast<sim::Key*>(at(header().off_output)), keys};
@@ -275,7 +304,7 @@ ShmRing ShmSegment::ring_at(cube::NodeId p, std::uint64_t skip,
   const std::uint64_t off =
       header().off_rings + p * ring_block_bytes(header()) + skip;
   return ShmRing(reinterpret_cast<ShmRingHdr*>(at(off)),
-                 at(off + sizeof(ShmRingHdr)), bytes);
+                 at(off + sizeof(ShmRingHdr)), bytes, /*shared=*/true);
 }
 
 ShmRing ShmSegment::link_ring(cube::NodeId to, int k) {

@@ -8,9 +8,13 @@
 //   WireFault[N]       scripted per-node faults (fault::NodeFault as POD)
 //   NodeSlot[N]        per-child status (atomic), pid, stats, error records
 //   WireLinkEvent[N*cap] per-child link-event log (record_events)
+//   Key[N*m] output    per-node result blocks, written at child completion
 //   Key[N*m] input     flattened run input
 //   Key[N*m] llbs      resume state C_{start-1} (with_resume)
-//   Key[N*m] output    per-node result blocks, written at child completion
+//   arenas             N page-aligned per-node key arenas, arena_bytes each:
+//                      the node's sim::KeyPool carves every key buffer from
+//                      its arena (windows, messages, radix scratch) before
+//                      falling back to the heap
 //   rings              N*dim node link rings, N up (node->host) rings,
 //                      N down (host->node) rings, each ShmRingHdr + buffer
 //
@@ -29,23 +33,31 @@
 //
 // Recycling: a process keeps one retired segment of its own as a spare.
 // create() reuses it when the new layout has the same total_bytes (and maps
-// a fresh one otherwise), re-initializing the header, faults, slots, events,
-// input, llbs, output and every ring header; only ring buffers keep stale
-// bytes, unreachable because every cursor restarts at 0.  This skips the
-// first-touch page faults, zeroing and teardown of multi-MB rings on every
-// run.  Only the creating process retires a segment, on destruction, and a
-// creator must reap every child that mapped it first: ShmParent's lifetime
-// nests inside the segment's.
+// a fresh one otherwise), zeroing the header, faults, slots, events and
+// output (one prefix of the segment) and resetting every ring header.  The
+// rest keeps stale bytes no reader can reach: the creator overwrites the
+// whole input, a resumed job's llbs is written whole before it is read, a
+// KeyBuf never exposes an element it has not written, and every ring cursor
+// restarts at 0.  This skips the first-touch page faults, zeroing and
+// teardown of multi-MB rings and arenas on every run.  Only the creating
+// process retires a segment, on destruction, and a creator must reap every
+// child that mapped it first: ShmParent's lifetime nests inside the
+// segment's.
 //
 // Recycled pages stay in the page cache, but every new child maps the
-// segment with no page-table entries of its own, so ShmTransport prefaults
-// each multi-page ring push rather than trap once per 4 KiB page.  See
-// ShmRing::prefault (shm_ring.h) for the Linux >= 5.14 requirement and the
-// stale neighbouring pages fault-around may map, which no reader can reach.
+// segment with no page-table entries of its own.  So ShmTransport prefaults
+// each multi-page ring push and the arena maps each new extent, by
+// fault-around, rather than trap once per 4 KiB page; and each side drops
+// its mapping of a multi-page record's interior pages once the record is
+// published or consumed, so a child's resident set holds its arena, not the
+// run's whole traffic.  See ShmRing::prefault (shm_ring.h) for the
+// Linux >= 5.14 requirement and the stale neighbouring pages fault-around
+// may map, which no reader can reach.
 
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -63,7 +75,7 @@ namespace aoft::transport {
 
 inline constexpr char kSegmentMagic[8] = {'A', 'O', 'F', 'T',
                                           'S', 'H', 'M', '1'};
-inline constexpr std::uint32_t kSegmentVersion = 2;
+inline constexpr std::uint32_t kSegmentVersion = 3;
 inline constexpr std::uint32_t kMaxSlotErrors = 16;
 inline constexpr std::uint32_t kErrDetailBytes = 96;
 
@@ -125,7 +137,8 @@ struct SegmentHeader : JobConfig {
   std::uint64_t link_ring_bytes = 0, up_ring_bytes = 0, down_ring_bytes = 0;
   std::uint32_t event_cap = 0;
   std::uint64_t off_faults = 0, off_slots = 0, off_events = 0;
-  std::uint64_t off_input = 0, off_llbs = 0, off_output = 0, off_rings = 0;
+  std::uint64_t off_output = 0, off_input = 0, off_llbs = 0;
+  std::uint64_t off_arenas = 0, arena_bytes = 0, off_rings = 0;
   std::uint64_t total_bytes = 0;
 };
 static_assert(std::is_trivially_copyable_v<SegmentHeader>);
@@ -170,6 +183,8 @@ class ShmSegment {
   std::span<sim::Key> input();
   std::span<sim::Key> llbs();
   std::span<sim::Key> output();
+  // Node p's key arena (sim::KeyPool::use_arena), page-aligned.
+  std::span<std::byte> arena(cube::NodeId p);
 
   // Messages into `to` across dimension k.
   ShmRing link_ring(cube::NodeId to, int k);

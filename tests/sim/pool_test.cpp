@@ -17,22 +17,24 @@ namespace {
 
 TEST(KeyPoolTest, AcquireReusesReleasedCapacity) {
   KeyPool pool;
-  std::vector<Key> v;
-  v.reserve(64);
-  const Key* storage = v.data();
-  pool.release(std::move(v));
+  const Key* storage = nullptr;
+  {
+    KeyBuf b(pool);
+    b.reserve(64);
+    storage = b.data();
+  }
   EXPECT_EQ(pool.free_count(), 1u);
 
-  std::vector<Key> again = pool.acquire();
+  KeyBuf again(pool);
   EXPECT_EQ(pool.free_count(), 0u);
-  EXPECT_TRUE(again.empty());         // released vectors come back cleared
-  EXPECT_GE(again.capacity(), 64u);   // ... but keep their capacity
-  EXPECT_EQ(again.data(), storage);   // literally the same storage
+  EXPECT_TRUE(again.empty());          // released buffers come back cleared
+  EXPECT_GE(again.capacity(), 64u);    // ... but keep their capacity
+  EXPECT_EQ(again.data(), storage);    // literally the same storage
 }
 
 TEST(KeyPoolTest, ReleaseIgnoresEmptyCapacity) {
   KeyPool pool;
-  pool.release(std::vector<Key>{});
+  { KeyBuf never_grown(pool); }
   EXPECT_EQ(pool.free_count(), 0u);
 }
 
@@ -40,7 +42,13 @@ TEST(KeyPoolTest, FullPoolDropsReleases) {
   // The free list is bounded: past its cap, released storage frees normally
   // instead of growing the pool without limit.
   KeyPool pool;
-  for (int i = 0; i < 1000; ++i) pool.release(std::vector<Key>(8, 1));
+  {
+    std::vector<KeyBuf> bufs;
+    for (int i = 0; i < 1000; ++i) {
+      bufs.emplace_back(pool);
+      bufs.back().assign(8, 1);
+    }
+  }
   EXPECT_GT(pool.free_count(), 0u);
   EXPECT_LT(pool.free_count(), 1000u);
 }
@@ -97,16 +105,6 @@ TEST(KeyBufTest, CopyAssignKeepsDestinationPool) {
     EXPECT_EQ(dst[1], 2);
   }
   EXPECT_EQ(pool.free_count(), 1u);  // dst stayed pooled through assignment
-}
-
-TEST(KeyBufTest, TakeDetachesFromPool) {
-  KeyPool pool;
-  KeyBuf a(pool);
-  a.assign({1, 2, 3});
-  std::vector<Key> v = std::move(a).take();
-  EXPECT_EQ(v, (std::vector<Key>{1, 2, 3}));
-  { KeyBuf sink = std::move(a); }  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(pool.free_count(), 0u);  // nothing returns: storage was taken
 }
 
 TEST(KeyBufTest, ComparesWithVectorsAndBufs) {

@@ -1,7 +1,8 @@
 // A node process whose program throws publishes kFailed with its reason
-// (shm: NodeSlot, tcp: FINISH).  That node never wrote its output block, so
-// the run must end fail-stop with an error naming the node and the reason —
-// never as a silently wrong sort.
+// (shm: NodeSlot, tcp: FINISH), and the simulator records the same throw as
+// that node's error.  That node never wrote its output block, so on every
+// fabric the run must end fail-stop with one error naming the node and the
+// reason — never as a silently wrong sort, nor as an exception.
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,10 @@ void expect_node1_failure(transport::Backend backend) {
   EXPECT_EQ(e.iter, -1) << fabric;
   EXPECT_EQ(e.detail, "node program gave up") << fabric;
   EXPECT_TRUE(run.deaths.empty()) << fabric;
+}
+
+TEST(FleetFailedNode, SimFailedNodeIsAFailStop) {
+  expect_node1_failure(transport::Backend::kSim);
 }
 
 TEST(FleetFailedNode, ShmFailedNodeIsAFailStop) {

@@ -11,12 +11,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <filesystem>
 #include <functional>
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sort/sft.h"
@@ -238,8 +240,10 @@ TEST(ShmRecycle, RetiredSegmentIsReusedFullyReinitialized) {
     EXPECT_TRUE(seg.down_ring(p).empty());
   }
   EXPECT_EQ(seg.events(1)[0].words, 0u);
-  for (auto region : {seg.input(), seg.llbs(), seg.output()})
-    for (Key k : region) ASSERT_EQ(k, 0);
+  // Only what a job reads before writing it starts over: the output.  The
+  // input and llbs regions are overwritten whole by every job that reads
+  // them, so recycling leaves them stale rather than zeroing megabytes.
+  for (Key k : seg.output()) ASSERT_EQ(k, 0);
 
   // A different size maps fresh.
   cfg.block = 4;
@@ -264,6 +268,81 @@ TEST(ShmRecycle, FaultFreeRunAfterAKillRunMatchesAFreshProcess) {
   const SortRun recycled = run_sft(dim, input, clean);
   ASSERT_FALSE(recycled.fail_stop());
   EXPECT_EQ(fingerprint(recycled), fresh);
+}
+
+// What the sim oracle and a process fabric must agree on (docs/PROTOCOL.md
+// §11.2): error tuples, deaths, output and canonical link events.  A node
+// SIGKILLed on shm never publishes, so its output block and the link events
+// it sent are compared only on the runs where nobody is killed.
+void expect_matches_oracle(const SortRun& got, const SortRun& oracle,
+                           std::size_t m, const char* what) {
+  using ErrorKey = std::tuple<cube::NodeId, int, int, int>;
+  using EventKey = std::tuple<int, int, cube::NodeId, cube::NodeId, bool, bool,
+                              int, std::uint32_t, bool>;
+  const auto killed = [&](cube::NodeId p) {
+    return std::ranges::any_of(oracle.deaths,
+                               [p](const Death& d) { return d.node == p; });
+  };
+  const auto errors = [](const SortRun& r) {
+    std::vector<ErrorKey> keys;
+    for (const auto& e : r.errors)
+      keys.emplace_back(e.node, e.stage, e.iter, static_cast<int>(e.source));
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  const auto events = [&](const SortRun& r) {
+    std::vector<EventKey> keys;
+    for (const auto& e : r.link_events)
+      if (e.from_host || !killed(e.from))
+        keys.emplace_back(e.stage, e.iter, e.from, e.to, e.to_host,
+                          e.from_host, static_cast<int>(e.kind), e.words,
+                          e.delivered);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  const auto output = [&](const SortRun& r) {
+    std::vector<Key> out = r.output;
+    for (const Death& d : oracle.deaths)
+      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(d.node * m), m, 0);
+    return out;
+  };
+  EXPECT_EQ(errors(got), errors(oracle)) << what;
+  EXPECT_EQ(got.deaths, oracle.deaths) << what;
+  EXPECT_EQ(output(got), output(oracle)) << what;
+  EXPECT_EQ(events(got), events(oracle)) << what;
+}
+
+TEST(ShmRecycle, FaultedThenCleanJobsMatchTheOracleAndColdRuns) {
+  // Blocks of 512 keys: radix-sorted, with multi-page ring records and
+  // arena extents, so the second job reuses arena and ring pages the
+  // faulted one left stale.
+  const int dim = 3;
+  SftOptions clean = shm_opts();
+  clean.block = 512;
+  const auto input =
+      util::random_keys(71, (std::size_t{1} << dim) * clean.block);
+  SftOptions faulted = clean;
+  faulted.node_faults = kill_fault(1, fault::StagePoint{1, 0});
+  faulted.node_faults[6].invert_direction_from = fault::StagePoint{0, 0};
+  const auto on_sim = [&](SftOptions o) {
+    o.backend = transport::Backend::kSim;
+    return run_sft(dim, input, o);
+  };
+
+  const std::string cold_faulted =
+      in_fresh_process([&] { return run_sft(dim, input, faulted); });
+  const std::string cold_clean =
+      in_fresh_process([&] { return run_sft(dim, input, clean); });
+
+  (void)run_sft(dim, input, clean);  // this process's spare, pages cached
+  const SortRun f = run_sft(dim, input, faulted);
+  const SortRun c = run_sft(dim, input, clean);
+  ASSERT_TRUE(f.fail_stop());
+  ASSERT_FALSE(c.fail_stop());
+  EXPECT_EQ(fingerprint(f), cold_faulted);
+  EXPECT_EQ(fingerprint(c), cold_clean);
+  expect_matches_oracle(f, on_sim(faulted), clean.block, "faulted job");
+  expect_matches_oracle(c, on_sim(clean), clean.block, "clean job after it");
 }
 
 TEST(ShmRecycle, FailedRunOutputIsNotThePreviousRunsKeys) {
