@@ -133,6 +133,7 @@ void KeyBuf::install(Key* fresh, std::size_t size, std::size_t cap) {
 }
 
 void KeyBuf::reallocate(std::size_t cap) {
+  cap = std::max(cap, size_);  // reserve() below a borrowed buffer's size
   Key* fresh = allocate(cap);
   if (size_ != 0) std::memcpy(fresh, data_, size_ * sizeof(Key));
   install(fresh, size_, cap);

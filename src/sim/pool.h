@@ -14,6 +14,12 @@
 // consulted only when a buffer grows past its capacity, so the simulator's
 // pools, which have none, pay one null check per growth and nothing else.
 //
+// A KeyBuf may also borrow foreign storage (KeyBuf::borrow): a received
+// record that an shm node reads in place in its segment's per-job log
+// (transport/shm_ring.h).  Capacity 0 marks the borrow.  Such a buffer never
+// frees its storage or returns it to the pool, and every growth path copies
+// the keys into storage of its own first.
+//
 // KeyBuf is a contiguous range of Key (begin()/end() return raw pointers), so
 // it converts implicitly to std::span<Key> / std::span<const Key> and slots
 // into the span-based predicate and blockops APIs unchanged.  It keeps
@@ -129,6 +135,24 @@ class KeyBuf {
     }
   }
 
+  // A buffer of the n keys at `keys`, which it borrows: it reads them in
+  // place and never frees them.  The first growth copies them into storage
+  // drawn from `pool`.  A write through operator[], data() or begin() would
+  // land in the foreign storage, so a consumer that mutates a borrowed
+  // buffer in place calls own() first.
+  static KeyBuf borrow(KeyPool& pool, const Key* keys, std::size_t n) {
+    KeyBuf b;
+    b.data_ = const_cast<Key*>(keys);
+    b.size_ = n;
+    b.pool_ = &pool;
+    return b;
+  }
+  // Copy a borrowed buffer's keys into storage of its own; a no-op on a
+  // buffer that owns its storage (or holds no keys).
+  void own() {
+    if (cap_ == 0 && size_ != 0) reallocate(size_);
+  }
+
   ~KeyBuf() {
     if (cap_ != 0) dispose();
   }
@@ -204,7 +228,8 @@ class KeyBuf {
   }
   void clear() { size_ = 0; }
   void push_back(Key k) {
-    if (size_ == cap_) reallocate(size_ == 0 ? 1 : 2 * size_);
+    // `>=`, not `==`: a borrowed buffer has size_ > cap_ == 0.
+    if (size_ >= cap_) reallocate(size_ == 0 ? 1 : 2 * size_);
     data_[size_++] = k;
   }
   void pop_back() { --size_; }
@@ -229,7 +254,7 @@ class KeyBuf {
   void assign(std::initializer_list<Key> il) { assign(il.begin(), il.end()); }
   void append(const Key* first, const Key* last) {
     const auto n = static_cast<std::size_t>(last - first);
-    if (n > cap_ - size_) {
+    if (size_ + n > cap_) {  // cap_ - size_ would wrap on a borrowed buffer
       const std::size_t cap = size_ + std::max(size_, n);
       Key* fresh = allocate(cap);  // the source may alias the old storage
       std::copy(data_, data_ + size_, fresh);
@@ -251,10 +276,12 @@ class KeyBuf {
  private:
   // The cold paths, out of line.  allocate() takes storage from the pool
   // (its arena, then the heap) or, unpooled, from the heap; install()
-  // frees the current storage the same way and adopts `fresh`.
+  // frees the current storage the same way (unless it is borrowed) and
+  // adopts `fresh`.
   [[gnu::noinline]] Key* allocate(std::size_t n);
   [[gnu::noinline]] void install(Key* fresh, std::size_t size, std::size_t cap);
-  [[gnu::noinline]] void reallocate(std::size_t cap);  // keeps the contents
+  // Own storage of at least max(cap, size()) keys, keeping the contents.
+  [[gnu::noinline]] void reallocate(std::size_t cap);
   void dispose() {  // to the pool, or to the heap when unpooled
     if (pool_ != nullptr)
       pool_->release({data_, cap_});

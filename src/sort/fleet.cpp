@@ -374,10 +374,13 @@ int run_node(transport::ShmSegment& seg, cube::NodeId p, NodeProgram node,
                       .output = seg.output().subspan(p * cfg.block, cfg.block),
                       .out_first = p};
     sim::Machine mach(cube::Topology{static_cast<int>(cfg.dim)}, cfg.cost);
-    // Every key buffer of this node comes from its arena in the segment:
-    // pages a recycled segment keeps in the page cache, not fresh ones.
+    // Every key buffer this node allocates comes from its arena in the
+    // segment (received ones are read in place from its logs): pages a
+    // recycled segment keeps in the page cache, not fresh ones.  The
+    // output block is mapped before write_out needs it.
     const std::span<std::byte> arena = seg.arena(p);
     mach.pool().use_arena(arena.data(), arena.size());
+    seg.map_output(p);
     transport::ShmTransport link(seg, static_cast<std::int32_t>(p));
     slot.state.store(static_cast<std::uint32_t>(transport::SlotState::kRunning),
                      std::memory_order_release);

@@ -87,9 +87,12 @@ sim::SimTask snr_body(sim::Ctx& ctx, const fleet::NodeJob& job,
         ctx.account_recv(r.msg);
         sim::KeyBuf theirs = std::move(r.msg.data);
         if (theirs.size() != m) theirs.resize(m, 0);  // Byzantine garbage
-        // S_NR trusts the operand and repairs only its shape.
-        if (!blockops::is_sorted_dir(theirs, cur_asc))
+        // S_NR trusts the operand and repairs only its shape, in storage of
+        // its own: a buffer received over shm is borrowed from the log.
+        if (!blockops::is_sorted_dir(theirs, cur_asc)) {
+          theirs.own();
           blockops::sort_dir(theirs, cur_asc, ctx.pool());
+        }
         merged.resize(2 * m);
         blockops::merge_dir_into(a, theirs, cur_asc, merged);
         ctx.charge(cm.cmp * static_cast<double>(2 * m));
@@ -115,6 +118,7 @@ sim::SimTask snr_body(sim::Ctx& ctx, const fleet::NodeJob& job,
         }
         ctx.account_recv(r.msg);
         a = std::move(r.msg.data);
+        a.own();  // `a` is repaired, reversed and substituted in place
         if (a.size() != m) a.resize(m, 0);
         if (!blockops::is_sorted_dir(a, cur_asc))
           blockops::sort_dir(a, cur_asc, ctx.pool());

@@ -14,6 +14,10 @@
 #include <stdexcept>
 #include <utility>
 
+#ifndef MADV_POPULATE_WRITE
+#define MADV_POPULATE_WRITE 23  // Linux >= 5.14; older kernels return EINVAL
+#endif
+
 namespace aoft::transport {
 
 namespace {
@@ -102,9 +106,10 @@ ShmSegment ShmSegment::create(const Config& cfg) {
   hd.host_pid = static_cast<std::int32_t>(getpid());
   hd.run_deadline_s = cfg.run_deadline_s;
 
-  // Whole-run ring capacities (see the header comment).  A directed node
+  // Whole-run log capacities (see the header comment).  A directed node
   // link carries at most dim+1 messages, each up to a full-cube LBS slice
-  // plus the exchange pair; the 2x factor absorbs adversarial growth.
+  // plus the exchange pair; the 2x factor absorbs adversarial growth.  A
+  // log needs no power-of-two size; rounding up keeps the layout stable.
   const auto record = [](std::uint64_t keys_in_msg) {
     return ShmRing::footprint(sizeof(WireMsgHdr) +
                               keys_in_msg * sizeof(sim::Key));
@@ -113,6 +118,7 @@ ShmSegment ShmSegment::create(const Config& cfg) {
   hd.link_ring_bytes = next_pow2(
       std::max<std::uint64_t>(4096, 2 * (cfg.dim + 2) * msg_bytes));
   // Up: dim checkpoint uploads (slice-sized), error reports, snr gathers.
+  // Down: the one scatter or verdict a host program sends each node.
   const std::uint64_t up_bytes = record(keys + 2 * m + 1);
   hd.up_ring_bytes = next_pow2(
       std::max<std::uint64_t>(4096, 2 * (cfg.dim + 4) * up_bytes));
@@ -162,9 +168,9 @@ ShmSegment ShmSegment::create(const Config& cfg) {
     // A fresh memfd reads as zeros: the rings' and cursors' initial state.
   } else {
     // A recycled segment: the header, faults, slots, events and output
-    // start over, as does every ring header below.  The input (overwritten
+    // start over, as does every log header below.  The input (overwritten
     // whole by the creator), llbs (written whole before a resumed job reads
-    // it), the arenas and the ring buffers keep stale bytes no reader can
+    // it), the arenas and the log buffers keep stale bytes no reader can
     // reach.
     std::memset(seg.base_, 0, hd.off_input);
   }
@@ -297,6 +303,18 @@ std::span<std::byte> ShmSegment::arena(cube::NodeId p) {
 std::span<sim::Key> ShmSegment::output() {
   const std::size_t keys = num_nodes() * header().block;
   return {reinterpret_cast<sim::Key*>(at(header().off_output)), keys};
+}
+
+void ShmSegment::map_output(cube::NodeId p) {
+  static const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto block = output().subspan(p * header().block, header().block);
+  const auto at = [](const sim::Key* k) {
+    return reinterpret_cast<std::uintptr_t>(k);
+  };
+  const auto lo = at(block.data()) & ~(page - 1);
+  const auto hi = (at(block.data() + block.size()) + page - 1) & ~(page - 1);
+  if (hi > lo)
+    (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_POPULATE_WRITE);
 }
 
 ShmRing ShmSegment::ring_at(cube::NodeId p, std::uint64_t skip,

@@ -15,15 +15,17 @@
 //                      the node's sim::KeyPool carves every key buffer from
 //                      its arena (windows, messages, radix scratch) before
 //                      falling back to the heap
-//   rings              N*dim node link rings, N up (node->host) rings,
-//                      N down (host->node) rings, each ShmRingHdr + buffer
+//   rings              N*dim node link logs, N up (node->host) logs,
+//                      N down (host->node) logs, each ShmRingHdr + buffer
 //
-// Rings are sized for the whole run's traffic on their link — S_FT uses each
-// directed link at most dim+1 times — so a push only fails when the protocol
-// misbehaves; senders then drop and count the message rather than block (a
-// dead peer must absorb traffic like a halted sim receiver).  A node
-// publishes its count in its slot, the host keeps its own, and the fleet's
-// collect path reports any drop as an error.
+// Each "ring" is a per-job log (shm_ring.h): its cursors restart at 0 here
+// and records never wrap, so a receiver reads every record in place for the
+// rest of the job.  Logs are sized for the whole run's traffic on their link
+// twice over — S_FT uses each directed link at most dim+1 times — so a push
+// only fails when the protocol misbehaves; senders then drop and count the
+// message rather than block (a dead peer must absorb traffic like a halted
+// sim receiver).  A node publishes its count in its slot, the host keeps its
+// own, and the fleet's collect path reports any drop as the sender's error.
 //
 // The segment is an anonymous memfd (memfd_create + ftruncate +
 // mmap(MAP_SHARED)), so no name exists that a crashed parent could leak.
@@ -46,11 +48,11 @@
 //
 // Recycled pages stay in the page cache, but every new child maps the
 // segment with no page-table entries of its own.  So ShmTransport prefaults
-// each multi-page ring push and the arena maps each new extent, by
-// fault-around, rather than trap once per 4 KiB page; and each side drops
-// its mapping of a multi-page record's interior pages once the record is
-// published or consumed, so a child's resident set holds its arena, not the
-// run's whole traffic.  See ShmRing::prefault (shm_ring.h) for the
+// each multi-page log push and the arena maps each new extent, by
+// fault-around, rather than trap once per 4 KiB page, and a node maps its
+// output block writable in one call (map_output); and each side drops its
+// mapping of log pages once it has published or consumed them, so a
+// child's resident set holds its arena, not the run's whole traffic.  See ShmRing::prefault (shm_ring.h) for the
 // Linux >= 5.14 requirement and the stale neighbouring pages fault-around
 // may map, which no reader can reach.
 
@@ -75,7 +77,7 @@ namespace aoft::transport {
 
 inline constexpr char kSegmentMagic[8] = {'A', 'O', 'F', 'T',
                                           'S', 'H', 'M', '1'};
-inline constexpr std::uint32_t kSegmentVersion = 3;
+inline constexpr std::uint32_t kSegmentVersion = 4;  // 4: per-job logs
 inline constexpr std::uint32_t kMaxSlotErrors = 16;
 inline constexpr std::uint32_t kErrDetailBytes = 96;
 
@@ -183,10 +185,15 @@ class ShmSegment {
   std::span<sim::Key> input();
   std::span<sim::Key> llbs();
   std::span<sim::Key> output();
+  // Map the pages of node p's output block into this process's page tables,
+  // writable, in one call: write faults get no fault-around, so otherwise
+  // the node's write-out traps once per page.  A hint (MADV_POPULATE_WRITE,
+  // Linux >= 5.14): failure leaves the pages to fault one by one.
+  void map_output(cube::NodeId p);
   // Node p's key arena (sim::KeyPool::use_arena), page-aligned.
   std::span<std::byte> arena(cube::NodeId p);
 
-  // Messages into `to` across dimension k.
+  // The per-job log of messages into `to` across dimension k.
   ShmRing link_ring(cube::NodeId to, int k);
   ShmRing up_ring(cube::NodeId p);    // p -> host
   ShmRing down_ring(cube::NodeId p);  // host -> p

@@ -14,32 +14,32 @@ namespace {
 
 constexpr auto kIdleNap = std::chrono::microseconds(200);
 
-// Append `n` keys from the record to `buf`, copied straight out of the ring.
-bool take_keys(ShmRing::Record& rec, std::uint32_t n, sim::KeyBuf& buf) {
-  buf.reserve(n);
-  return rec.take(std::uint64_t{n} * sizeof(sim::Key),
-                  [&](const unsigned char* p, std::uint64_t bytes) {
-                    const auto* k = reinterpret_cast<const sim::Key*>(p);
-                    buf.append(k, k + bytes / sizeof(sim::Key));
-                  });
-}
-
-// Decode one record into `out`: the header, then both key arrays.
+// Read one record into `out` in place: the header's fields, then both key
+// arrays as KeyBufs borrowed over the log, which no producer writes again
+// within the job (shm_ring.h).
 void decode_record(ShmRing::Record& rec, sim::KeyPool& pool,
                    sim::Message& out) {
   WireMsgHdr h;
   if (!rec.read(&h, sizeof h))
     throw std::runtime_error("shm ring record corrupt");
-  message_from_header(h, pool, out);
-  if (!take_keys(rec, h.ndata, out.data) || !take_keys(rec, h.nlbs, out.lbs) ||
-      rec.remaining() != 0)
+  const auto* data = rec.take(std::uint64_t{h.ndata} * sizeof(sim::Key));
+  const auto* lbs = rec.take(std::uint64_t{h.nlbs} * sizeof(sim::Key));
+  if (data == nullptr || lbs == nullptr || rec.remaining() != 0)
     throw std::runtime_error("shm ring record corrupt");
+  header_into(h, out);
+  out.data = sim::KeyBuf::borrow(
+      pool, reinterpret_cast<const sim::Key*>(data), h.ndata);
+  out.lbs =
+      sim::KeyBuf::borrow(pool, reinterpret_cast<const sim::Key*>(lbs), h.nlbs);
 }
 
 }  // namespace
 
 ShmTransport::ShmTransport(ShmSegment& seg, std::int32_t role)
-    : seg_(seg), role_(role) {}
+    : seg_(seg),
+      role_(role),
+      unmapped_(role == kHostRole ? seg.num_nodes()
+                                  : static_cast<std::size_t>(seg.dim()) + 1) {}
 
 void ShmTransport::push_ring(ShmRing ring, const sim::Message& m,
                              std::span<const sim::Key> lbs) {
@@ -47,7 +47,7 @@ void ShmTransport::push_ring(ShmRing ring, const sim::Message& m,
   const std::uint64_t data_bytes = m.data.size() * sizeof(sim::Key);
   const std::uint64_t lbs_bytes = lbs.size() * sizeof(sim::Key);
   ring.prefault(sizeof h + data_bytes + lbs_bytes);
-  // Sized for the whole run, so a full ring is a bug, not backpressure:
+  // Sized for the whole run, so a full log is a bug, not backpressure:
   // absorb the message like a dead peer and count it for the collect path.
   if (!ring.try_push({{&h, sizeof h},
                       {m.data.data(), data_bytes},
@@ -74,7 +74,10 @@ void ShmTransport::send_from_host(cube::NodeId to, const sim::Message& m,
 std::size_t ShmTransport::pump(sim::KeyPool& pool, const Deliver& deliver) {
   std::size_t delivered = 0;
   sim::Message m;
-  const auto drain = [&](ShmRing ring, bool from_host) {
+  // Inbound log i first drops the pages this process consumed in earlier
+  // pumps (shm_ring.h), then hands every new record on in place.
+  const auto drain = [&](ShmRing ring, std::size_t i, bool from_host) {
+    unmapped_[i] = ring.unmap_consumed(unmapped_[i]);
     while (ring.try_pop([&](ShmRing::Record& rec) {
       decode_record(rec, pool, m);
     })) {
@@ -84,11 +87,13 @@ std::size_t ShmTransport::pump(sim::KeyPool& pool, const Deliver& deliver) {
   };
   if (role_ == kHostRole) {
     for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
-      drain(seg_.up_ring(p), false);
+      drain(seg_.up_ring(p), p, false);
   } else {
     const auto me = static_cast<cube::NodeId>(role_);
-    for (int k = 0; k < seg_.dim(); ++k) drain(seg_.link_ring(me, k), false);
-    drain(seg_.down_ring(me), true);
+    const auto dim = static_cast<std::size_t>(seg_.dim());
+    for (std::size_t k = 0; k < dim; ++k)
+      drain(seg_.link_ring(me, static_cast<int>(k)), k, false);
+    drain(seg_.down_ring(me), dim, true);
   }
   if (delivered > 0) waiting_ = false;
   return delivered;

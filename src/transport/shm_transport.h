@@ -3,9 +3,11 @@
 // Each OS process owns one endpoint — node p (role == p) or the host (role
 // == kHostRole) — and a ShmTransport wired to the shared segment.  Sends
 // gather the wire header and both key arrays straight into the
-// destination's inbound ring; pump decodes every ring that feeds the local
-// endpoint in place, straight into the message's pooled key buffers — one
-// copy in, one copy out.  wait_activity implements message-absence
+// destination's inbound log; pump hands every new record of every log that
+// feeds the local endpoint to the machine in place, its key arrays as
+// KeyBufs borrowed over the log — one copy in, none out (shm_ring.h).
+// Consumers that mutate a received buffer call KeyBuf::own() first.
+// wait_activity implements message-absence
 // detection (Environmental Assumption 4) on real time: a blocked node
 // returns "nothing further can arrive" only once every peer it waits on is
 // terminally down (status slot) with its inbound rings drained, or after
@@ -17,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "sim/remote.h"
 #include "transport/shm_segment.h"
@@ -41,9 +44,10 @@ class ShmTransport final : public sim::RemoteLink {
   std::size_t pump(sim::KeyPool& pool, const Deliver& deliver) override;
   bool wait_activity(std::span<const cube::NodeId> peers) override;
 
-  // Messages this endpoint dropped because the destination ring was full.
-  // The rings are sized for a whole run, so any drop is a sizing bug; the
-  // fleet's collect path turns a nonzero count into an error report.
+  // Messages this endpoint dropped because they would have crossed the end
+  // of the destination's log.  The logs are sized for a whole run, so any
+  // drop is a sizing bug; the fleet's collect path turns a nonzero count
+  // into the sender's kApp error report.
   std::uint32_t send_overflow() const { return send_overflow_; }
 
  private:
@@ -54,6 +58,10 @@ class ShmTransport final : public sim::RemoteLink {
   std::int32_t role_;
   std::function<void()> host_poll_;
   std::uint32_t send_overflow_ = 0;
+  // Per inbound log (up logs by node on the host; link logs by dimension,
+  // then the down log, on a node): where this process's unmapping of
+  // consumed pages has reached (ShmRing::unmap_consumed).
+  std::vector<std::uint64_t> unmapped_;
 
   // One waiting episode: starts when wait_activity first sees no progress,
   // ends when pump delivers something.  The recv timeout bounds the episode.

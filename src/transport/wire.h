@@ -3,13 +3,14 @@
 // Both ends of a segment are the same build on the same machine, so the
 // layout is native-endian PODs: a fixed header followed by the data keys and
 // then the lbs keys.  Shm senders gather the header and both key arrays
-// straight into a ring record (ShmTransport); tcp frames go through
-// encode_message/decode_message.  The lbs keys come from an explicit span —
-// m.lbs, or the sender's own LBS window lent for the duration of the send —
-// so a node's gossip reaches the wire without a staging copy.  The sender's logical arrival stamp
-// travels on the wire — receiver clocks advance from it exactly as in the
-// simulator, which is what keeps per-node logical time (and therefore every
-// Φ evaluation and trace line) deterministic across backends.
+// straight into a log record, which receivers read in place (ShmTransport);
+// tcp frames go through encode_message/decode_message.  The lbs keys come
+// from an explicit span — m.lbs, or the sender's own LBS window lent for the
+// duration of the send — so a node's gossip reaches the wire without a
+// staging copy.  The sender's logical arrival stamp travels on the wire —
+// receiver clocks advance from it exactly as in the simulator, which is what
+// keeps per-node logical time (and therefore every Φ evaluation and trace
+// line) deterministic across backends.
 
 #pragma once
 
@@ -55,10 +56,8 @@ inline WireMsgHdr wire_header(const sim::Message& m,
   return h;
 }
 
-// A fresh pooled Message carrying `h`'s fields, with empty key buffers.
-inline void message_from_header(const WireMsgHdr& h, sim::KeyPool& pool,
-                                sim::Message& out) {
-  out = sim::Message(pool);
+// `h`'s fields on `out`; its key buffers are the caller's to fill.
+inline void header_into(const WireMsgHdr& h, sim::Message& out) {
   out.kind = static_cast<sim::MsgKind>(h.kind);
   out.from = static_cast<cube::NodeId>(h.from);
   out.stage = h.stage;
@@ -92,7 +91,8 @@ inline bool decode_message(std::span<const unsigned char> bytes,
       sizeof h +
       (static_cast<std::size_t>(h.ndata) + h.nlbs) * sizeof(sim::Key);
   if (bytes.size() != want) return false;
-  message_from_header(h, pool, out);
+  out = sim::Message(pool);
+  header_into(h, out);
   const auto* keys =
       reinterpret_cast<const sim::Key*>(bytes.data() + sizeof h);
   out.data.assign(keys, keys + h.ndata);

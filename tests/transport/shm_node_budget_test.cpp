@@ -3,9 +3,11 @@
 // A node process is a fresh fork with no page-table entries of its own, so
 // every page it touches costs a fault.  On a recycled segment its key
 // buffers come from its arena, whose pages sit in the page cache and are
-// mapped by fault-around, and each multi-page ring record leaves the
-// process's page tables once it has been published or consumed.  This
-// suite pins both for a child's second sort on one segment:
+// mapped by fault-around, and used log pages leave the process's page
+// tables: a multi-page record's as soon as the sender has published it,
+// consumed ones at the receiver's next pump, even while borrowed views of
+// them are alive.  This suite pins both for a child's second sort on one
+// segment:
 //
 //   - its minor faults stay well below one per page of its key working
 //     set, which is what fresh heap pages would cost;

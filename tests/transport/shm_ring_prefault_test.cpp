@@ -1,8 +1,9 @@
-// The producer-side prefault of segment rings (shm_ring.h, PROTOCOL §11.1):
+// The producer-side prefault of segment logs (shm_ring.h, PROTOCOL §11.1):
 //
-//   - a segment-backed ring round-trips multi-page records byte for byte
-//     wherever they fall: across the wrap point, ending exactly at the
-//     buffer end, and at the one-page boundary of the syscall's cutoff;
+//   - a segment-backed log round-trips multi-page records byte for byte
+//     wherever they fall: from a page boundary, from mid-page, ending
+//     exactly at the buffer end, and at the one-page boundary of the
+//     syscall's cutoff;
 //   - a freshly forked child pushing a 1 MiB record into a recycled
 //     segment's ring takes a handful of fault-around faults, not one per
 //     4 KiB page.
@@ -43,7 +44,7 @@ constexpr bool kSanitized = false;
 
 const std::uint64_t kPage = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
 
-// A dim-1 segment of `block` keys per node.  Its link rings hold ~24 ×
+// A dim-1 segment of `block` keys per node.  Its link logs hold ~24 ×
 // 8·block bytes: 256 KiB for 1,024 keys, 2 MiB for 8,192.
 ShmSegment dim1_segment(std::uint32_t block) {
   ShmSegment::Config cfg;
@@ -76,7 +77,7 @@ std::vector<unsigned char> pop(ShmRing ring) {
   return out;
 }
 
-// Push and pop filler records until the ring's cursors reach `to` (an
+// Push and pop filler records until the log's cursors reach `to` (an
 // 8-aligned position at or past `at`).
 void advance(ShmRing ring, std::uint64_t& at, std::uint64_t to,
              std::uint64_t cap) {
@@ -92,34 +93,38 @@ void advance(ShmRing ring, std::uint64_t& at, std::uint64_t to,
 TEST(ShmRingPrefault, SegmentRingRoundTripsMultiPageRecords) {
   ShmSegment seg = dim1_segment(1024);
   const std::uint64_t cap = seg.header().link_ring_bytes;
-  ASSERT_GE(cap, 16 * kPage);
+  ASSERT_GE(cap, 32 * kPage);
   ShmRing ring = seg.link_ring(1, 0);
 
+  // In log order: one job's records never wrap, so each shape starts past
+  // the one before it.
   struct Shape {
     const char* what;
-    std::uint64_t start;  // ring offset of the record's length prefix
+    std::uint64_t start;  // log offset of the record's length prefix
     std::uint64_t len;    // payload bytes
   };
   const Shape shapes[] = {
-      {"straddles the wrap point", cap - 3 * kPage / 2, 3 * kPage},
+      {"page - 8 bytes (one page: no syscall)", 1000, kPage - 8},
+      {"one page", 3 * kPage + 1000, kPage},
+      {"page + 8 bytes", 6 * kPage + 1000, kPage + 8},
+      {"three pages from a page boundary", 9 * kPage - ShmRing::kPrefix,
+       3 * kPage},
+      {"three pages from mid-page", 14 * kPage + kPage / 2, 3 * kPage},
       {"ends exactly at the buffer end", cap - 4 * kPage,
        4 * kPage - ShmRing::kPrefix},
-      {"page - 8 bytes (one page: no syscall)", 1000, kPage - 8},
-      {"one page", 1000, kPage},
-      {"page + 8 bytes", 1000, kPage + 8},
-      {"page + 8 bytes across the wrap", cap - kPage / 2, kPage + 8},
   };
   std::uint64_t at = 0;
   unsigned seed = 1;
   for (const Shape& s : shapes) {
-    // Cursors well past 0, as in a long run, then to the shape's offset.
-    advance(ring, at, (at / cap + 1) * cap + s.start, cap);
+    advance(ring, at, s.start, cap);
     const auto rec = pattern(s.len, seed++);
     ASSERT_TRUE(push(ring, rec)) << s.what;
     EXPECT_EQ(pop(ring), rec) << s.what;
     EXPECT_TRUE(ring.empty()) << s.what;
     at += ShmRing::footprint(s.len);
   }
+  EXPECT_EQ(at, cap);
+  EXPECT_FALSE(push(ring, pattern(8, seed))) << "the log is full";
 }
 
 TEST(ShmRingPrefault, RecordBeyondTheFreeSpaceIsRejectedUntouched) {
@@ -128,8 +133,8 @@ TEST(ShmRingPrefault, RecordBeyondTheFreeSpaceIsRejectedUntouched) {
   ShmRing ring = seg.link_ring(1, 0);
   const auto resident = pattern(cap / 2, 3);
   ASSERT_TRUE(push(ring, resident));
-  EXPECT_FALSE(push(ring, pattern(cap / 2, 4)));  // prefaulted, then refused
-  EXPECT_FALSE(push(ring, pattern(2 * cap, 5)));  // beyond the ring: skipped
+  EXPECT_FALSE(push(ring, pattern(cap / 2, 4)));  // would cross the end
+  EXPECT_FALSE(push(ring, pattern(2 * cap, 5)));  // beyond the whole log
   EXPECT_EQ(pop(ring), resident);
   EXPECT_TRUE(ring.empty());
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -25,7 +26,7 @@ bool push_bytes(ShmRing& ring, const void* data, std::uint64_t len) {
 }
 
 struct RingFixture : ::testing::Test {
-  static constexpr std::uint64_t kCap = 256;  // power of two
+  static constexpr std::uint64_t kCap = 256;
   ShmRingHdr hdr;
   std::vector<unsigned char> buf = std::vector<unsigned char>(kCap);
   ShmRing ring{&hdr, buf.data(), kCap};
@@ -76,33 +77,48 @@ TEST_F(RingFixture, RejectsWhenFull) {
   for (int i = 0; i < 3; ++i)
     ASSERT_TRUE(push_bytes(ring, rec.data(), rec.size()));
   EXPECT_FALSE(push_bytes(ring, rec.data(), rec.size()));
-  // Draining one record makes room again.
+  // A log reclaims nothing: draining a record leaves it full for the job.
   std::vector<unsigned char> out;
   ASSERT_TRUE(pop_bytes(ring, out));
+  EXPECT_FALSE(push_bytes(ring, rec.data(), rec.size()));
+  // The next job's reset starts it over.
+  ring.reset();
   EXPECT_TRUE(push_bytes(ring, rec.data(), rec.size()));
 }
 
-TEST_F(RingFixture, WrapsAroundTheBufferEnd) {
-  // Advance the cursors to just short of the boundary, then push a record
-  // that must split across it.
+TEST_F(RingFixture, RefusesARecordThatWouldCrossTheEnd) {
+  // Two records consumed leave the cursors at 224 of 256: 32 bytes remain.
   const std::vector<unsigned char> filler(100, 0x11);
   std::vector<unsigned char> out;
   ASSERT_TRUE(push_bytes(ring, filler.data(), filler.size()));
   ASSERT_TRUE(push_bytes(ring, filler.data(), filler.size()));
   ASSERT_TRUE(pop_bytes(ring, out));
-  ASSERT_TRUE(pop_bytes(ring, out));  // cursors now at 224 of 256
+  ASSERT_TRUE(pop_bytes(ring, out));
+  ASSERT_EQ(hdr.tail.load(), 224u);
+
+  // A record that would have wrapped in a ring is refused, untouched.
+  const std::vector<unsigned char> before = buf;
   std::vector<unsigned char> rec(90);
   std::iota(rec.begin(), rec.end(), 0);
+  EXPECT_FALSE(push_bytes(ring, rec.data(), rec.size()));
+  EXPECT_EQ(buf, before);
+  EXPECT_EQ(hdr.tail.load(), 224u);
+  EXPECT_TRUE(ring.empty());
+
+  // One that ends exactly at the buffer end fits and round-trips.
+  rec.resize(24);
+  ASSERT_EQ(ShmRing::footprint(rec.size()), 32u);
   ASSERT_TRUE(push_bytes(ring, rec.data(), rec.size()));
   ASSERT_TRUE(pop_bytes(ring, out));
   EXPECT_EQ(out, rec);
+  EXPECT_FALSE(push_bytes(ring, rec.data(), 1));
 }
 
 // A message-shaped record (40-byte header, data keys, lbs keys) pushed from
-// three pieces and popped in place, at every 8-aligned start position: the
-// wrap point falls inside the header, inside data and inside lbs in turn,
-// and every 8-byte key still arrives whole and aligned.
-TEST_F(RingFixture, GatherRecordStraddlesTheWrapInEachPiece) {
+// three pieces and popped in place, at every 8-aligned start position where
+// it fits: every piece arrives as one span inside the log itself, and every
+// 8-byte key is whole and aligned there.
+TEST_F(RingFixture, GatherRecordArrivesInPlaceAtEveryAlignedStart) {
   unsigned char head[40];
   std::iota(std::begin(head), std::end(head), 100);
   std::vector<std::int64_t> data(5), lbs(4);
@@ -111,46 +127,40 @@ TEST_F(RingFixture, GatherRecordStraddlesTheWrapInEachPiece) {
   const std::uint64_t data_bytes = data.size() * 8, lbs_bytes = lbs.size() * 8;
   const std::uint64_t len = sizeof head + data_bytes + lbs_bytes;
 
-  bool wrapped_in[3] = {false, false, false};
-  for (std::uint64_t start = 0; start < kCap; start += 8) {
-    seek(3 * kCap + start);  // cursors well past 0, as in a long run
+  int starts = 0;
+  for (std::uint64_t start = 0; start + ShmRing::footprint(len) <= kCap;
+       start += 8, ++starts) {
+    seek(start);
     ASSERT_TRUE(ring.try_push({{head, sizeof head},
                                {data.data(), data_bytes},
                                {lbs.data(), lbs_bytes}}));
-    // Payload bytes before the wrap point, if it falls inside the payload.
-    const std::uint64_t before = kCap - (start + ShmRing::kPrefix) % kCap;
-    const std::uint64_t data_end = sizeof head + data_bytes;
-    if (before < sizeof head) wrapped_in[0] = true;
-    if (before > sizeof head && before < data_end) wrapped_in[1] = true;
-    if (before > data_end && before < len) wrapped_in[2] = true;
-
-    unsigned char got_head[40];
-    std::vector<std::int64_t> got_data, got_lbs;
-    const auto take_keys = [](ShmRing::Record& rec, std::size_t n,
-                              std::vector<std::int64_t>& out) {
-      return rec.take(n * 8, [&](const unsigned char* p, std::uint64_t bytes) {
-        ASSERT_EQ(reinterpret_cast<std::uintptr_t>(p) % 8, 0u);
-        ASSERT_EQ(bytes % 8, 0u);
-        const auto* k = reinterpret_cast<const std::int64_t*>(p);
-        out.insert(out.end(), k, k + bytes / 8);
-      });
+    const auto in_place = [&](const unsigned char* p, std::uint64_t n) {
+      return p == buf.data() + start + ShmRing::kPrefix + n;
     };
     ASSERT_TRUE(ring.try_pop([&](ShmRing::Record& rec) {
       ASSERT_EQ(rec.size(), len);
+      unsigned char got_head[40];
       ASSERT_TRUE(rec.read(got_head, sizeof got_head));
-      ASSERT_TRUE(take_keys(rec, data.size(), got_data));
-      ASSERT_TRUE(take_keys(rec, lbs.size(), got_lbs));
+      EXPECT_EQ(std::memcmp(got_head, head, sizeof head), 0);
+      const unsigned char* d = rec.take(data_bytes);
+      const unsigned char* l = rec.take(lbs_bytes);
+      ASSERT_NE(d, nullptr);
+      ASSERT_NE(l, nullptr);
+      EXPECT_TRUE(in_place(d, sizeof head)) << "start " << start;
+      EXPECT_TRUE(in_place(l, sizeof head + data_bytes)) << "start " << start;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % 8, 0u);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(l) % 8, 0u);
+      const auto* dk = reinterpret_cast<const std::int64_t*>(d);
+      const auto* lk = reinterpret_cast<const std::int64_t*>(l);
+      EXPECT_EQ(std::vector<std::int64_t>(dk, dk + data.size()), data);
+      EXPECT_EQ(std::vector<std::int64_t>(lk, lk + lbs.size()), lbs);
       EXPECT_EQ(rec.remaining(), 0u);
+      EXPECT_EQ(rec.take(1), nullptr) << "take past the record's end";
       EXPECT_FALSE(rec.read(got_head, 1)) << "read past the record's end";
     }));
-    EXPECT_EQ(std::memcmp(got_head, head, sizeof head), 0) << "start " << start;
-    EXPECT_EQ(got_data, data) << "start " << start;
-    EXPECT_EQ(got_lbs, lbs) << "start " << start;
     EXPECT_TRUE(ring.empty());
   }
-  EXPECT_TRUE(wrapped_in[0]) << "no start split the header";
-  EXPECT_TRUE(wrapped_in[1]) << "no start split data";
-  EXPECT_TRUE(wrapped_in[2]) << "no start split lbs";
+  EXPECT_EQ(starts, 18);  // (256 - 120) / 8 + 1
 }
 
 TEST_F(RingFixture, CorruptLengthFieldThrows) {
@@ -168,23 +178,31 @@ TEST_F(RingFixture, CorruptLengthFieldThrows) {
 }
 
 TEST(ShmRingStress, SpscThreadsSeeEveryRecordInOrder) {
-  constexpr std::uint64_t kCap = 1024;
   constexpr std::uint32_t kRecords = 200000;
+  // A sequence-number piece plus a variable body piece: records of every
+  // length mod 8.  The log holds the whole stream, as a segment's logs hold
+  // a whole job's traffic.
+  const auto body_len = [](std::uint32_t v) { return v % 24; };
+  std::uint64_t cap = 0;
+  for (std::uint32_t v = 0; v < kRecords; ++v)
+    cap += ShmRing::footprint(4 + body_len(v));
   ShmRingHdr hdr;
-  std::vector<unsigned char> buf(kCap);
-  ShmRing producer(&hdr, buf.data(), kCap);
-  ShmRing consumer(&hdr, buf.data(), kCap);
+  std::vector<unsigned char> buf(cap);
+  ShmRing producer(&hdr, buf.data(), cap);
+  ShmRing consumer(&hdr, buf.data(), cap);
   producer.reset();
 
+  std::atomic<bool> refused{false};
   std::thread prod([&] {
-    for (std::uint32_t v = 0; v < kRecords;) {
-      // A sequence-number piece plus a variable body piece: records of
-      // every length mod 8 exercise the wrap at many alignments.
+    for (std::uint32_t v = 0; v < kRecords; ++v) {
       unsigned char body[24];
-      const std::uint32_t len = v % 24;
+      const std::uint32_t len = body_len(v);
       for (std::uint32_t i = 0; i < len; ++i)
         body[i] = static_cast<unsigned char>(v + i);
-      if (producer.try_push({{&v, sizeof v}, {body, len}})) ++v;
+      if (!producer.try_push({{&v, sizeof v}, {body, len}})) {
+        refused = true;
+        return;
+      }
     }
   });
 
@@ -192,7 +210,7 @@ TEST(ShmRingStress, SpscThreadsSeeEveryRecordInOrder) {
     bool ok = true;
     const bool popped = consumer.try_pop([&](ShmRing::Record& rec) {
       std::uint32_t got = 0;
-      ok = rec.size() == 4 + expect % 24 && rec.read(&got, sizeof got) &&
+      ok = rec.size() == 4 + body_len(expect) && rec.read(&got, sizeof got) &&
            got == expect;
       std::uint32_t i = 0;
       while (ok && rec.remaining() > 0) {
@@ -201,12 +219,17 @@ TEST(ShmRingStress, SpscThreadsSeeEveryRecordInOrder) {
         ++i;
       }
     });
-    if (!popped) continue;
+    if (!popped) {
+      if (refused) break;
+      continue;
+    }
     ASSERT_TRUE(ok) << "record " << expect;
     ++expect;
   }
   prod.join();
+  EXPECT_FALSE(refused) << "the log refused a record it was sized for";
   EXPECT_TRUE(consumer.empty());
+  EXPECT_EQ(hdr.tail.load(), cap) << "the stream fills the log exactly";
 }
 
 }  // namespace
