@@ -1,30 +1,22 @@
-// Campaign engine throughput: serial vs parallel, and a worker-placement
-// matrix.
+// Campaign engine throughput: serial vs parallel.
 //
 // The §4 campaigns are the statistical backbone of the Theorem 3 claim; how
 // many fault scenarios we can afford bounds how strong that evidence is.
 // This harness times the identical campaign several ways:
 //
 //   serial   — jobs=1 with pooling and per-worker machine reuse (default),
-//   matrix   — jobs=N under each worker-placement policy (none / compact /
-//              scatter when the host has >= 2 CPUs, plus the --pin policy if
-//              it is an explicit CPU list), so CI artifacts show what
-//              affinity buys on that runner's topology,
-//   traced   — jobs=N under the --pin policy with tracer + metrics attached.
+//   parallel — jobs=N,
+//   traced   — jobs=N with tracer + metrics attached.
 //
-// All CampaignSummaries must be bit-identical — parallelism, placement,
-// batching and tracing are engine concerns, never observable in results.
+// All CampaignSummaries must be bit-identical — parallelism and tracing are
+// engine concerns, never observable in results.  The traced run's time is
+// not reported: perfbench's obs.trace_overhead_ratio owns the cost of
+// tracing.
 // When the binary links the counting allocation hook (util/alloc_hook.h),
 // the serial run's per-scenario heap-allocation count is reported as
 // pooled_allocs_per_scenario; tools/bench_check gates it with a ceiling.
 //
-//   batched  — jobs=N with scenario_batch > 1: workers claim runs of
-//              consecutive slots so a leased machine stays cache-hot across
-//              a whole batch instead of bouncing through the claim counter
-//              per scenario.
-//
 //   campaign_throughput [--dim=4] [--runs=50] [--jobs=0] [--seed=1989]
-//                       [--batch=8] [--pin=compact]
 //                       [--out=BENCH_campaign.json]
 //
 // On a single-CPU host a serial-vs-parallel "speedup" is noise, not signal:
@@ -34,16 +26,15 @@
 // Exit status: 0 iff the summaries match, every S_FT tally has
 // silent_wrong == 0, and the JSON was written.  The >= 3x parallel speedup
 // target only applies on >= 4-core machines; the JSON records
-// hardware_concurrency / cpus_available / numa_nodes so consumers can judge.
+// hardware_concurrency / cpus_available so consumers can judge.
 
 #include <chrono>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 #include <string>
-#include <vector>
+#include <thread>
 
 #include "fault/campaign.h"
 #include "util/atomic_file.h"
@@ -55,7 +46,6 @@
 #include "util/flags.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
-#include "util/topology.h"
 
 namespace {
 
@@ -122,10 +112,8 @@ struct Timed {
   std::uint64_t allocs = 0;  // ::operator new calls during the run (hooked)
 };
 
-Timed timed_campaign(fault::CampaignConfig cfg, int jobs,
-                     const util::PlacementPolicy& placement = {}) {
+Timed timed_campaign(fault::CampaignConfig cfg, int jobs) {
   cfg.jobs = jobs;
-  cfg.placement = placement;
   Timed t;
   const std::uint64_t a0 = util::alloc_count();
   const auto t0 = std::chrono::steady_clock::now();
@@ -136,11 +124,6 @@ Timed timed_campaign(fault::CampaignConfig cfg, int jobs,
   return t;
 }
 
-struct MatrixEntry {
-  util::PlacementPolicy policy;
-  Timed timed;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -148,97 +131,36 @@ int main(int argc, char** argv) {
   cfg.dim = util::flag_int(argc, argv, "--dim", 4);
   cfg.runs_per_class = util::flag_int(argc, argv, "--runs", 50);
   cfg.seed = util::flag_u64(argc, argv, "--seed", 1989);
-  const int batch = util::flag_int(argc, argv, "--batch", 8);
-  if (batch < 1) {
-    std::fprintf(stderr, "--batch must be >= 1\n");
-    return 1;
-  }
   const int parallel_jobs =
       util::ThreadPool::resolve(util::flag_int(argc, argv, "--jobs", 0));
   const char* out_arg = util::flag_value(argc, argv, "--out");
   const std::string out_path = out_arg ? out_arg : "BENCH_campaign.json";
-  const char* pin_arg = util::flag_value(argc, argv, "--pin");
-  util::PlacementPolicy headline;
-  {
-    std::string perr;
-    if (!util::PlacementPolicy::parse(pin_arg ? pin_arg : "compact",
-                                      &headline, &perr)) {
-      std::fprintf(stderr, "--pin: %s\n", perr.c_str());
-      return 1;
-    }
-  }
-  const int hw = util::ThreadPool::resolve(0);
-  const auto topo = util::HostTopology::discover();
-  const int cpus_available =
-      topo.cpus.empty() ? hw : static_cast<int>(topo.cpus.size());
-
-  // An explicit --pin list naming an unavailable CPU would otherwise throw
-  // mid-benchmark; reject it up front.
-  try {
-    util::plan_placement(headline, topo, parallel_jobs);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "--pin: %s\n", e.what());
-    return 1;
-  }
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int cpus_available = util::ThreadPool::resolve(0);
 
   std::cout << "campaign throughput: dim=" << cfg.dim << " runs/class="
             << cfg.runs_per_class << " seed=" << cfg.seed
-            << " parallel jobs=" << parallel_jobs << " batch=" << batch
-            << " pin=" << headline.str() << " simd="
+            << " parallel jobs=" << parallel_jobs << " simd="
             << util::simd::to_string(aoft::sort::kernels::active_path())
             << " (hardware threads: " << hw << ", cpus: " << cpus_available
-            << ", numa nodes: " << topo.nodes
             << ", alloc hook: " << (util::alloc_hook_active() ? "on" : "off")
             << ")\n";
 
   const auto serial = timed_campaign(cfg, 1);
+  const auto parallel = timed_campaign(cfg, parallel_jobs);
 
-  // Placement matrix: the same parallel campaign under each policy.  On a
-  // single-CPU host pinning every worker to the one core is indistinguishable
-  // from none, so only the headline policy runs.
-  std::vector<util::PlacementPolicy> policies;
-  if (cpus_available >= 2) {
-    for (const char* name : {"none", "compact", "scatter"}) {
-      util::PlacementPolicy p;
-      util::PlacementPolicy::parse(name, &p, nullptr);
-      policies.push_back(p);
-    }
-    bool headline_listed = false;
-    for (const auto& p : policies) headline_listed |= (p == headline);
-    if (!headline_listed) policies.push_back(headline);
-  } else {
-    policies.push_back(headline);
-  }
-  std::vector<MatrixEntry> matrix;
-  for (const auto& p : policies)
-    matrix.push_back({p, timed_campaign(cfg, parallel_jobs, p)});
-  const Timed* parallel = nullptr;
-  for (const auto& e : matrix)
-    if (e.policy == headline) parallel = &e.timed;
-
-  // Cache-hot batching: the same parallel campaign, but each worker claims
-  // `batch` consecutive slots per trip to the shared counter, so a leased
-  // machine's pools stay warm across the whole run.  The summary must still
-  // be bit-identical (fault/campaign.h; tests/fault/campaign_determinism).
-  fault::CampaignConfig batched_cfg = cfg;
-  batched_cfg.scenario_batch = batch;
-  const auto batched = timed_campaign(batched_cfg, parallel_jobs, headline);
-
-  // Final run with the observability layer attached: same campaign, tracer +
-  // metrics collected per slot and merged.  Guards the "zero-cost when
-  // disabled / cheap when enabled" contract — the traced summary must still
-  // be bit-identical, and trace_overhead is recorded for trend tracking.
+  // The same parallel campaign with the observability layer attached:
+  // tracer + metrics collected per slot and merged.  Its summary must still
+  // be bit-identical.
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   fault::CampaignConfig traced_cfg = cfg;
   traced_cfg.tracer = &tracer;
   traced_cfg.metrics = &metrics;
-  const auto traced = timed_campaign(traced_cfg, parallel_jobs, headline);
+  const auto traced = timed_campaign(traced_cfg, parallel_jobs);
 
-  bool identical = same_summary(serial.summary, traced.summary) &&
-                   same_summary(serial.summary, batched.summary);
-  for (const auto& e : matrix)
-    identical = identical && same_summary(serial.summary, e.timed.summary);
+  const bool identical = same_summary(serial.summary, parallel.summary) &&
+                         same_summary(serial.summary, traced.summary);
   int silent_wrong = 0;
   for (const auto& t : serial.summary.sft) silent_wrong += t.silent_wrong;
   const long long scenarios = scenarios_executed(serial.summary);
@@ -253,30 +175,20 @@ int main(int argc, char** argv) {
   // single-core container as if it were a regression), so it is withheld.
   const bool speedup_valid = cpus_available >= 2;
   const double parallel_speedup =
-      speedup_valid && parallel->seconds > 0
-          ? serial.seconds / parallel->seconds
-          : 0.0;
-  const double trace_overhead =
-      parallel->seconds > 0
-          ? (traced.seconds - parallel->seconds) / parallel->seconds
+      speedup_valid && parallel.seconds > 0
+          ? serial.seconds / parallel.seconds
           : 0.0;
 
   std::printf("serial   : %8.3f s  %9.1f scenarios/s  %8.1f allocs/scenario\n",
               serial.seconds, rate(serial), per_scenario(serial));
-  for (const auto& e : matrix)
-    std::printf("pin=%-8s: %8.3f s  %9.1f scenarios/s  (%d jobs)\n",
-                e.policy.str().c_str(), e.timed.seconds, rate(e.timed),
-                parallel_jobs);
-  std::printf("batch=%-4d: %8.3f s  %9.1f scenarios/s  (%d jobs)\n", batch,
-              batched.seconds, rate(batched), parallel_jobs);
+  std::printf("parallel : %8.3f s  %9.1f scenarios/s  (%d jobs)\n",
+              parallel.seconds, rate(parallel), parallel_jobs);
   if (speedup_valid)
-    std::printf("parallel speedup (pin=%s): %.2fx vs serial\n",
-                headline.str().c_str(), parallel_speedup);
+    std::printf("parallel speedup: %.2fx vs serial\n", parallel_speedup);
   else
     std::printf("parallel speedup: skipped (%d CPU available)\n",
                 cpus_available);
-  std::printf("traced   : %8.3f s  (%zu events, %+.1f%% vs parallel)\n",
-              traced.seconds, tracer.size(), 100.0 * trace_overhead);
+  std::printf("traced   : %zu events\n", tracer.size());
   std::printf("summaries bit-identical: %s\n", identical ? "yes" : "NO");
   std::printf("S_FT silent-wrong total: %d\n", silent_wrong);
 
@@ -288,8 +200,6 @@ int main(int argc, char** argv) {
           "  \"seed\": %llu,\n"
           "  \"hardware_concurrency\": %d,\n"
           "  \"cpus_available\": %d,\n"
-          "  \"numa_nodes\": %d,\n"
-          "  \"placement\": \"%s\",\n"
           "  \"simd\": \"%s\",\n"
           "  \"alloc_hook_active\": %s,\n"
           "  \"scenarios_executed\": %lld,\n"
@@ -298,18 +208,13 @@ int main(int argc, char** argv) {
           "  \"pooled_allocs_per_scenario\": %.2f,\n"
           "  \"parallel_jobs\": %d,\n"
           "  \"parallel_seconds\": %.6f,\n"
-          "  \"parallel_scenarios_per_sec\": %.2f,\n"
-          "  \"scenario_batch\": %d,\n"
-          "  \"batched_seconds\": %.6f,\n"
-          "  \"batched_scenarios_per_sec\": %.2f,\n",
+          "  \"parallel_scenarios_per_sec\": %.2f,\n",
           cfg.dim, cfg.runs_per_class,
           static_cast<unsigned long long>(cfg.seed), hw, cpus_available,
-          topo.nodes, headline.str().c_str(),
           util::simd::to_string(aoft::sort::kernels::active_path()),
           util::alloc_hook_active() ? "true" : "false", scenarios,
           serial.seconds, rate(serial), per_scenario(serial),
-          parallel_jobs, parallel->seconds, rate(*parallel), batch,
-          batched.seconds, rate(batched));
+          parallel_jobs, parallel.seconds, rate(parallel));
   if (speedup_valid)
     appendf(json, "  \"speedup\": %.3f,\n", parallel_speedup);
   else
@@ -318,23 +223,12 @@ int main(int argc, char** argv) {
             "  \"speedup_skipped_reason\": \"only %d CPU available; "
             "serial-vs-parallel timing is scheduling noise\",\n",
             cpus_available);
-  appendf(json, "  \"placement_matrix\": [\n");
-  for (std::size_t i = 0; i < matrix.size(); ++i)
-    appendf(json,
-            "    {\"placement\": \"%s\", \"seconds\": %.6f, "
-            "\"scenarios_per_sec\": %.2f}%s\n",
-            matrix[i].policy.str().c_str(), matrix[i].timed.seconds,
-            rate(matrix[i].timed), i + 1 < matrix.size() ? "," : "");
   appendf(json,
-          "  ],\n"
-          "  \"traced_seconds\": %.6f,\n"
           "  \"trace_events\": %zu,\n"
-          "  \"trace_overhead\": %.4f,\n"
           "  \"summaries_identical\": %s,\n"
           "  \"silent_wrong_total\": %d\n"
           "}\n",
-          traced.seconds, tracer.size(), trace_overhead,
-          identical ? "true" : "false", silent_wrong);
+          tracer.size(), identical ? "true" : "false", silent_wrong);
   std::string write_err;
   if (!util::write_file_atomic(out_path, json, &write_err)) {
     std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),

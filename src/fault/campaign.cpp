@@ -316,11 +316,7 @@ sort::SftOptions sft_options(const CampaignConfig& cfg, int dim,
 
 // Run body(i) for i in [0, count): inline when jobs == 1, across a pool
 // otherwise.  Bodies write into disjoint slots of pre-sized vectors, so the
-// execution order never shows in the output.  cfg.placement decides where
-// pool workers run; the pin plan (a pure function of policy, topology and
-// worker count — never a runtime sched_getcpu sample) is recorded into the
-// campaign-level tracer/metrics as environment metadata before any slot
-// trace is appended.
+// execution order never shows in the output.
 void for_each_slot(const CampaignConfig& cfg, std::size_t count,
                    const std::function<void(std::size_t)>& body) {
   const int n = util::ThreadPool::resolve(cfg.jobs);
@@ -328,24 +324,8 @@ void for_each_slot(const CampaignConfig& cfg, std::size_t count,
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  std::vector<util::WorkerPin> pins;
-  if (cfg.placement.kind != util::Placement::kNone) {
-    pins = util::plan_placement(cfg.placement,
-                                util::HostTopology::discover(), n);
-    for (const auto& pin : pins) {
-      if (cfg.tracer != nullptr) {
-        cfg.tracer->instant(obs::Ev::kWorkerCpu, obs::kGlobal, -1, -1, 0.0,
-                            pin.worker, pin.cpu, cfg.placement.str());
-        cfg.tracer->instant(obs::Ev::kWorkerNode, obs::kGlobal, -1, -1, 0.0,
-                            pin.worker, pin.node);
-      }
-      if (cfg.metrics != nullptr && pin.cpu >= 0)
-        cfg.metrics->inc(obs::Counter::kWorkersPinned);
-    }
-  }
-  util::ThreadPool pool(n, std::move(pins));
-  pool.parallel_for(count, body,
-                    static_cast<std::size_t>(std::max(1, cfg.scenario_batch)));
+  util::ThreadPool pool(n);
+  pool.parallel_for(count, body);
 }
 
 // ---- durable-session plumbing (campaign_store.h) ----------------------------
@@ -356,7 +336,7 @@ void for_each_slot(const CampaignConfig& cfg, std::size_t count,
 // the checkpoint is re-saved crash-safely every cfg.checkpoint_every commits,
 // and the stream cursor advances over every done-in-order slot.  Nothing here
 // affects results: records are keyed by global slot, so the final artifacts
-// are pure functions of the campaign identity regardless of jobs, placement,
+// are pure functions of the campaign identity regardless of jobs,
 // shard layout or how many times the process was killed and resumed.
 
 struct StoreSession {

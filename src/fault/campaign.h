@@ -41,7 +41,6 @@
 #include "sort/driver.h"
 #include "transport/backend.h"
 #include "util/rng.h"
-#include "util/topology.h"
 
 namespace aoft::obs {
 class Tracer;
@@ -141,33 +140,11 @@ struct CampaignConfig {
   bool check_consistency = true;
   bool check_exchange = true;
   // Worker threads for scenario execution: 1 = serial (default), 0 = one per
-  // hardware thread, N > 1 = fixed pool of N.  The summary is bit-identical
-  // for every value — jobs trades wall-clock only, never results.
+  // CPU this process may run on (util::ThreadPool::resolve), N > 1 = fixed
+  // pool of N.  The summary, stream, checkpoint and trace are bit-identical
+  // for every value — jobs trades wall-clock only, never results, and is
+  // not part of the checkpoint identity (campaign_store.h).
   int jobs = 1;
-  // Where those workers run (util/topology.h): none (default) leaves them to
-  // the OS scheduler; compact/scatter/explicit pin each worker to a CPU so
-  // its thread-local pools, rings and leased machine stay cache- and
-  // NUMA-local.  Placement changes wall-clock only: results, traces and
-  // metrics are aggregated in (class, slot) order regardless of which core
-  // ran a slot, so every policy is bit-identical to every other (proved by
-  // tests/fault/campaign_placement_test.cpp).  When a tracer is attached and
-  // the policy is not none, the engine records the pin *plan* as worker.cpu
-  // / worker.node instant events — environment metadata that trace_inspect
-  // --diff excludes from determinism comparisons.  Only applied when the
-  // resolved job count actually spins up a pool (jobs != 1); an explicit
-  // policy naming an unavailable CPU makes the campaign throw.
-  util::PlacementPolicy placement;
-  // How many consecutive slots a pool worker claims per grab (>= 1).  Each
-  // worker keeps one simulated Machine, reset() between scenarios; batching
-  // extends that reuse: a worker runs `scenario_batch` scenarios back to
-  // back on its leased machine, so machine state, key pools and the kernel
-  // dispatch table stay cache-hot between scenarios instead of being evicted
-  // by another worker's claim bouncing the shared counter line.  Like jobs and
-  // placement this is execution metadata: slots still land in disjoint
-  // pre-sized vectors and aggregate in (class, slot) order, so summaries,
-  // streams and traces are bit-identical for every batch size — it is
-  // deliberately NOT part of the checkpoint identity (campaign_store.h).
-  int scenario_batch = 1;
   // Optional observability sinks (obs/).  Each slot collects into a private
   // per-slot tracer/registry bound to the executing worker thread; after the
   // pool drains, the engine appends/merges them into these in (class, slot)

@@ -14,7 +14,7 @@ constexpr const char* kCounterNames[] = {
     "phi_f_fail",   "phi_c_pass",   "phi_c_fail",   "pair_pass",
     "pair_fail",    "timeouts",     "watchdog_rounds", "errors",
     "ckpt_uploads", "rollbacks",    "restarts",     "reconfigures",
-    "host_fallbacks", "scenarios",  "workers_pinned",
+    "host_fallbacks", "scenarios",
 };
 static_assert(std::size(kCounterNames) == kNumCounters);
 

@@ -33,9 +33,6 @@ enum class Counter : std::uint8_t {
   kCkptUploads,
   kRollbacks, kRestarts, kReconfigures, kHostFallbacks,
   kScenarios,       // campaign scenario executions
-  kWorkersPinned,   // campaign workers with a planned CPU pin (environment
-                    //   metadata: scales with the job count, so determinism
-                    //   comparisons across job counts exclude it)
   kCount_,
 };
 

@@ -13,7 +13,7 @@ constexpr const char* kEvNames[] = {
     "timeout",     "watchdog",    "error",       "drop",
     "ckpt_upload", "ckpt_certify", "attempt",    "rollback",
     "restart",     "reconfigure", "host_fallback", "scenario",
-    "worker.cpu",  "worker.node", "link",
+    "link",
 };
 
 }  // namespace

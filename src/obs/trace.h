@@ -59,11 +59,6 @@ enum class Ev : std::uint8_t {
   kReconfigure,    // a=new dim, b=new block, detail=retired physical nodes
   kHostFallback,   // terminal host-sort rung entered
   kScenario,       // campaign slot attempt; a=slot, b=attempt, detail=class
-  kWorkerCpu,      // campaign worker pin plan: a=worker, b=cpu (-1 unpinned),
-                   //   detail=placement policy.  Environment metadata: these
-                   //   describe *where* workers run, not what the run
-                   //   computed, so trace_inspect --diff skips them.
-  kWorkerNode,     // as kWorkerCpu, b=NUMA node of the planned pin
   kLink,           // one link message (transport cross-checks): node=sender
                    //   (kHostNode when from the host), a=receiver (kHostNode
                    //   when to the host), b packs

@@ -327,9 +327,6 @@ std::string summarize(const ParsedTrace& trace) {
   std::uint64_t watchdog = 0, timeouts = 0, drops = 0, errors = 0;
   std::uint64_t scenarios = 0, attempts = 0;
   double elapsed = 0.0;
-  // Worker placement plan (campaigns run with --pin): worker -> cpu / node.
-  std::map<std::int64_t, std::int64_t> worker_cpu, worker_node;
-  std::string placement_policy;
 
   for (const auto& e : trace.events) {
     elapsed = std::max(elapsed, e.t1);
@@ -360,11 +357,6 @@ std::string summarize(const ParsedTrace& trace) {
       case Ev::kDrop: ++drops; break;
       case Ev::kScenario: ++scenarios; break;
       case Ev::kAttempt: ++attempts; break;
-      case Ev::kWorkerCpu:
-        worker_cpu[e.a] = e.b;
-        if (placement_policy.empty()) placement_policy = e.detail;
-        break;
-      case Ev::kWorkerNode: worker_node[e.a] = e.b; break;
       default: break;
     }
   }
@@ -376,17 +368,6 @@ std::string summarize(const ParsedTrace& trace) {
   if (!trace.meta.transport.empty())
     os << " transport=" << trace.meta.transport;
   os << " events=" << trace.events.size() << "\n";
-  if (!worker_cpu.empty()) {
-    os << "placement: policy="
-       << (placement_policy.empty() ? "?" : placement_policy)
-       << " workers=" << worker_cpu.size();
-    for (const auto& [worker, cpu] : worker_cpu) {
-      os << " w" << worker << "->cpu" << cpu;
-      const auto it = worker_node.find(worker);
-      if (it != worker_node.end()) os << "/node" << it->second;
-    }
-    os << "\n";
-  }
   util::Table table({"stage", "spans", "iters", "phi pass", "phi FAIL",
                      "ckpt", "errors", "max t1"});
   for (const auto& [stage, r] : stages)

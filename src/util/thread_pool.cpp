@@ -4,21 +4,28 @@
 #include <atomic>
 #include <memory>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace aoft::util {
 
 int ThreadPool::resolve(int jobs) {
   if (jobs > 0) return jobs;
+  // hardware_concurrency() counts every CPU on the host, including those a
+  // taskset or cgroup cpuset keeps this process off.
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int threads, std::vector<WorkerPin> pins)
-    : pins_(std::move(pins)) {
+ThreadPool::ThreadPool(int threads) {
   const int n = resolve(threads);
   workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    workers_.emplace_back(
-        [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -38,11 +45,7 @@ void ThreadPool::submit(std::function<void()> job) {
   cv_work_.notify_one();
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  // Pin before the first job so thread-local pools and leased machines are
-  // allocated NUMA-local.  A rejected pin degrades to unpinned.
-  if (index < pins_.size() && pins_[index].cpu >= 0)
-    pin_current_thread(pins_[index].cpu);
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> job;
     {
@@ -78,25 +81,20 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body,
-                              std::size_t batch) {
+                              const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  if (batch == 0) batch = 1;
-  // One claiming job per worker; runs of `batch` consecutive indices come off
-  // a shared counter so a slow item does not stall the others for long.
-  // `body` outlives the jobs because wait_idle() below returns only after
-  // every job finished.
+  // One claiming job per worker; indices come off a shared counter one at a
+  // time so a slow item does not stall the others.  `body` outlives the jobs
+  // because wait_idle() below returns only after every job finished.
   auto next = std::make_shared<std::atomic<std::size_t>>(0);
   const std::size_t lanes =
-      std::min((count + batch - 1) / batch,
-               static_cast<std::size_t>(workers_.size()));
+      std::min(count, static_cast<std::size_t>(workers_.size()));
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    submit([next, count, batch, &body] {
+    submit([next, count, &body] {
       for (;;) {
-        const std::size_t base = next->fetch_add(batch, std::memory_order_relaxed);
-        if (base >= count) return;
-        const std::size_t end = std::min(base + batch, count);
-        for (std::size_t i = base; i < end; ++i) body(i);
+        const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) return;
+        body(i);
       }
     });
   }

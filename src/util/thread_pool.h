@@ -12,11 +12,7 @@
 //     between jobs, only that wait_idle() returns after every submitted job
 //     finished,
 //   * the first exception thrown by a job is captured and rethrown from
-//     wait_idle() / parallel_for() on the calling thread,
-//   * workers may be pinned to CPUs via a util::plan_placement pin plan
-//     (util/topology.h) — placement trades cache/NUMA locality only and is
-//     invisible in job results; a pin the kernel rejects degrades to
-//     unpinned rather than failing the pool.
+//     wait_idle() / parallel_for() on the calling thread.
 
 #pragma once
 
@@ -29,16 +25,12 @@
 #include <thread>
 #include <vector>
 
-#include "util/topology.h"
-
 namespace aoft::util {
 
 class ThreadPool {
  public:
-  // threads <= 0 selects the hardware concurrency (at least 1).  When a pin
-  // plan is given, worker i pins itself to pins[i].cpu before taking jobs
-  // (entries with cpu < 0, and workers beyond the plan, run unpinned).
-  explicit ThreadPool(int threads = 0, std::vector<WorkerPin> pins = {});
+  // threads <= 0 selects one worker per CPU this process may run on.
+  explicit ThreadPool(int threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -53,29 +45,20 @@ class ThreadPool {
   void wait_idle();
 
   // Run body(i) for every i in [0, count) across the pool and block until
-  // all complete.  Indices are claimed from a shared counter, so bodies run
-  // in a nondeterministic order — callers write into index i of a pre-sized
-  // output and aggregate serially afterwards.  `batch` (>= 1) is how many
-  // consecutive indices one claim takes: larger batches amortize the shared
-  // counter and keep per-thread state (leased machines, pools) hot across
-  // consecutive bodies, at the cost of coarser load balancing.  Which worker
-  // runs which index is invisible to callers by the disjoint-slot convention,
-  // so batch size never affects results.
+  // all complete.  Indices are claimed one at a time from a shared counter,
+  // so bodies run in a nondeterministic order — callers write into index i
+  // of a pre-sized output and aggregate serially afterwards.
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& body,
-                    std::size_t batch = 1);
+                    const std::function<void(std::size_t)>& body);
 
-  // Map a --jobs style argument to a worker count: <= 0 means "use the
-  // hardware concurrency", anything else is taken verbatim (min 1).
+  // Map a --jobs style argument to a worker count: <= 0 means "one per CPU
+  // in this process's affinity mask" (sched_getaffinity, falling back to
+  // the hardware concurrency), anything else is taken verbatim.
   static int resolve(int jobs);
 
-  // The pin plan the pool was built with (empty when unpinned).
-  const std::vector<WorkerPin>& pins() const { return pins_; }
-
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop();
 
-  std::vector<WorkerPin> pins_;
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mu_;

@@ -72,6 +72,10 @@ obs::json::Value parse_run_file(const std::string& path) {
 TEST(CliArgs, UnknownArgumentIsAUsageError) {
   EXPECT_EQ(run_cli({"--algo=sft", "--dim=2", "--verbose"}), 1);
   EXPECT_EQ(run_cli({"--frobnicate"}), 1);
+  // Campaign workers take --jobs only: a script that passes a placement or
+  // batching flag must fail loudly rather than run without it.
+  EXPECT_EQ(run_cli({"--campaign", "--pin=compact"}), 1);
+  EXPECT_EQ(run_cli({"--campaign", "--batch=8"}), 1);
 }
 
 TEST(CliArgs, GarbageNumericValuesAreUsageErrors) {

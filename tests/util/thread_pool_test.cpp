@@ -7,20 +7,45 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/topology.h"
-
 #if defined(__linux__)
 #include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #endif
 
 namespace aoft::util {
 namespace {
 
-TEST(ThreadPoolTest, ResolveMapsZeroToHardwareConcurrency) {
+TEST(ThreadPoolTest, ResolveMapsZeroToAvailableCpus) {
   EXPECT_GE(ThreadPool::resolve(0), 1);
   EXPECT_EQ(ThreadPool::resolve(3), 3);
   EXPECT_GE(ThreadPool::resolve(-2), 1);
 }
+
+#if defined(__linux__)
+// resolve(0) counts the affinity mask, not the host: a child narrowed to one
+// CPU (as under `taskset -c 0`) must get one worker, not one per host CPU.
+TEST(ThreadPoolTest, ResolveZeroHonoursTheAffinityMask) {
+  cpu_set_t mine;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mine), &mine), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &mine)) ++first;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) _exit(100);
+    _exit(ThreadPool::resolve(0));
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == 100) GTEST_SKIP() << "sched_setaffinity refused";
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+}
+#endif
 
 TEST(ThreadPoolTest, RunsEverySubmittedJob) {
   ThreadPool pool(4);
@@ -68,32 +93,6 @@ TEST(ThreadPoolTest, FirstJobExceptionRethrownOnWait) {
   pool.submit([&counter] { counter.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, WorkersRunOnTheirPinnedCpu) {
-  const auto topo = HostTopology::discover();
-  ASSERT_FALSE(topo.cpus.empty());
-  const int cpu = topo.cpus.front().cpu;
-  std::vector<WorkerPin> pins(2);
-  for (int w = 0; w < 2; ++w) pins[static_cast<std::size_t>(w)] = {w, cpu, 0};
-  ThreadPool pool(2, pins);
-  ASSERT_EQ(pool.pins().size(), 2u);
-  EXPECT_EQ(pool.pins()[1].cpu, cpu);
-#if defined(__linux__)
-  std::atomic<int> mismatches{0};
-  pool.parallel_for(64, [&](std::size_t) {
-    if (sched_getcpu() != cpu) mismatches.fetch_add(1);
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-#endif
-}
-
-TEST(ThreadPoolTest, RejectedPinDegradesToUnpinnedExecution) {
-  // A nonsense CPU id cannot be applied; the worker must still run jobs.
-  ThreadPool pool(2, {{0, 1 << 20, 0}, {1, -1, -1}});
-  std::atomic<int> counter{0};
-  pool.parallel_for(10, [&counter](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 10);
 }
 
 TEST(ThreadPoolTest, PoolReusableAcrossParallelForCalls) {

@@ -14,7 +14,6 @@
 //   aoft_sort_cli --algo=sft --dim=3 --transport=tcp --wedge=2@1:0 --recover=ladder
 //   aoft_sort_cli --campaign --dim=4 --runs=40 --jobs=0 --seed=1989
 //   aoft_sort_cli --campaign --multi=3 --jobs=2
-//   aoft_sort_cli --campaign --jobs=0 --pin=compact
 //
 // --transport picks the fabric (docs/PROTOCOL.md §11): sim (default) is the
 // deterministic in-process simulator, shm runs one OS process per node over
@@ -48,11 +47,9 @@
 //
 // --campaign runs the §4 fault-injection campaign instead of a single sort:
 // --runs scenarios per adversary class, fanned out over --jobs worker
-// threads (0 = one per hardware thread; results are bit-identical for every
-// job count), plus an optional --multi=K simultaneous-fault sweep.
-// --pin=none|compact|scatter|CPULIST places those workers on cores/NUMA
-// nodes (util/topology.h) — wall-clock only, results and traces stay
-// bit-identical across policies.  Exit status 0 iff every S_FT tally has
+// threads (0 = one per CPU this process may run on; results are
+// bit-identical for every job count), plus an optional --multi=K
+// simultaneous-fault sweep.  Exit status 0 iff every S_FT tally has
 // silent_wrong == 0 (Theorem 3).
 //
 // Campaign durability (docs/PROTOCOL.md §10):
@@ -97,7 +94,6 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/table.h"
-#include "util/topology.h"
 
 namespace {
 
@@ -116,13 +112,10 @@ struct Args {
                                 // (.json = Chrome trace_event, else JSONL)
   // campaign mode
   bool campaign = false;
-  int jobs = 1;      // campaign worker threads; 0 = hardware concurrency
+  int jobs = 1;      // campaign worker threads; 0 = one per available CPU
   int runs = 25;     // exercised scenarios per fault class
-  int batch = 1;     // consecutive scenarios per worker claim (cache-hot runs)
   int multi_k = 0;   // if > 0, also sweep 1..K simultaneous faults
   std::string simd;  // force a kernel dispatch path (scalar|avx2|neon|auto)
-  bool has_pin = false;
-  util::PlacementPolicy pin;  // worker placement (campaign mode only)
   // campaign durability (docs/PROTOCOL.md §10)
   std::string checkpoint;      // --checkpoint=PATH
   bool resume = false;         // --resume[=force-restart]
@@ -266,8 +259,6 @@ bool parse(int argc, char** argv, Args& args) {
       if (!checked_int("--jobs", value("--jobs="), args.jobs)) return false;
     } else if (a.rfind("--runs=", 0) == 0) {
       if (!checked_int("--runs", value("--runs="), args.runs)) return false;
-    } else if (a.rfind("--batch=", 0) == 0) {
-      if (!checked_int("--batch", value("--batch="), args.batch)) return false;
     } else if (a.rfind("--simd=", 0) == 0) {
       args.simd = value("--simd=");
     } else if (a.rfind("--multi=", 0) == 0) {
@@ -343,13 +334,6 @@ bool parse(int argc, char** argv, Args& args) {
                      "--mode must be scripted|independent:P|runlength:K\n");
         return false;
       }
-    } else if (a.rfind("--pin=", 0) == 0) {
-      std::string perr;
-      if (!util::PlacementPolicy::parse(value("--pin="), &args.pin, &perr)) {
-        std::fprintf(stderr, "--pin: %s\n", perr.c_str());
-        return false;
-      }
-      args.has_pin = true;
     } else if (a == "--transient") {
       args.transient = true;
     } else if (a == "--diagnose") {
@@ -384,23 +368,15 @@ bool parse(int argc, char** argv, Args& args) {
     return false;
   }
   if (args.jobs < 0) {
-    std::fprintf(stderr, "--jobs must be >= 0 (0 = hardware concurrency)\n");
+    std::fprintf(stderr, "--jobs must be >= 0 (0 = one per available CPU)\n");
     return false;
   }
   if (args.campaign && args.runs < 1) {
     std::fprintf(stderr, "--runs must be >= 1\n");
     return false;
   }
-  if (args.batch < 1) {
-    std::fprintf(stderr, "--batch must be >= 1\n");
-    return false;
-  }
   if (args.multi_k < 0 || args.multi_k > (1 << args.dim)) {
     std::fprintf(stderr, "--multi must be in [0, 2^dim]\n");
-    return false;
-  }
-  if (args.has_pin && !args.campaign) {
-    std::fprintf(stderr, "--pin requires --campaign\n");
     return false;
   }
   if (!args.campaign &&
@@ -674,8 +650,6 @@ int run_campaign_mode(const Args& args) {
   cfg.runs_per_class = args.runs;
   cfg.seed = args.seed;
   cfg.jobs = args.jobs;
-  cfg.scenario_batch = args.batch;
-  cfg.placement = args.pin;
   cfg.injection = args.injection;
   cfg.checkpoint_path = args.checkpoint;
   cfg.resume = args.resume;
@@ -695,10 +669,9 @@ int run_campaign_mode(const Args& args) {
 
   if (!args.quiet)
     std::printf("fault campaign: dim=%d block=%zu runs/class=%d seed=%llu "
-                "jobs=%d batch=%d pin=%s simd=%s mode=%s shard=%d/%d\n\n",
+                "jobs=%d simd=%s mode=%s shard=%d/%d\n\n",
                 cfg.dim, cfg.block, cfg.runs_per_class,
                 static_cast<unsigned long long>(cfg.seed), cfg.jobs,
-                cfg.scenario_batch, cfg.placement.str().c_str(),
                 util::simd::to_string(sort::kernels::active_path()),
                 fault::to_string(cfg.injection.mode), cfg.shard_index,
                 cfg.shard_count);
@@ -782,8 +755,7 @@ int main(int argc, char** argv) {
                  "          [--recover=off|restart|rollback|ladder] [--transient]\n"
                  "          [--diagnose] [--quiet] [--trace=PATH]\n"
                  "       %s --campaign [--dim=N] [--block=M] [--seed=S]\n"
-                 "          [--runs=R] [--jobs=J] [--batch=B] [--multi=K] [--quiet]\n"
-                 "          [--pin=none|compact|scatter|CPULIST]\n"
+                 "          [--runs=R] [--jobs=J] [--multi=K] [--quiet]\n"
                  "          [--simd=scalar|avx2|neon|auto]\n"
                  "          [--mode=scripted|independent:P|runlength:K]\n"
                  "          [--checkpoint=PATH] [--resume[=force-restart]]\n"

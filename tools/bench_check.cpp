@@ -43,10 +43,9 @@
 //              speedup_skipped_reason string (no more committing 0.7x
 //              "slowdowns" measured on a 1-core container).
 //
-// Raw throughput numbers (scenarios/sec, placement matrix, trace overhead)
-// are printed as an informational fresh-vs-reference diff but never gate:
-// CI runners differ too much machine-to-machine for absolute wall-clock
-// comparisons to be signal.
+// Raw throughput numbers (scenarios/sec) are printed as an informational
+// fresh-vs-reference diff but never gate: CI runners differ too much
+// machine-to-machine for absolute wall-clock comparisons to be signal.
 //
 // Exit status: 0 = gate passed, 1 = gate failed or file/parse error.
 
@@ -87,7 +86,6 @@ constexpr const char* kNumKeys[] = {
     "runs_per_class",
     "hardware_concurrency",
     "cpus_available",
-    "numa_nodes",
     "scenarios_executed",
     "serial_seconds",
     "serial_scenarios_per_sec",
@@ -95,12 +93,7 @@ constexpr const char* kNumKeys[] = {
     "parallel_jobs",
     "parallel_seconds",
     "parallel_scenarios_per_sec",
-    "scenario_batch",
-    "batched_seconds",
-    "batched_scenarios_per_sec",
-    "traced_seconds",
     "trace_events",
-    "trace_overhead",
     "silent_wrong_total",
 };
 
@@ -129,8 +122,6 @@ bool check_file(const char* label, const std::string& path, json::Value* out) {
     if (!json::get_num(o, key, d))
       fail(label, "missing or non-numeric key \"" + std::string(key) + "\"");
   std::string s;
-  if (!json::get_str(o, "placement", s))
-    fail(label, "missing or non-string key \"placement\"");
   if (!json::get_str(o, "simd", s))
     fail(label, "missing or non-string key \"simd\" (kernel dispatch path)");
   bool b = false;
@@ -141,26 +132,11 @@ bool check_file(const char* label, const std::string& path, json::Value* out) {
     fail(label, "missing or non-boolean key \"summaries_identical\"");
   else if (!b)
     fail(label, "summaries_identical is false — campaign engine produced "
-                "different results across jobs/placement/batching/tracing");
+                "different results across jobs/tracing");
 
   if (json::get_num(o, "silent_wrong_total", d) && d != 0)
     fail(label, "silent_wrong_total = " + std::to_string(d) +
                     " (Theorem 3 requires 0)");
-
-  auto matrix = o.find("placement_matrix");
-  if (matrix == o.end() || !matrix->second.is_array() ||
-      matrix->second.array().empty()) {
-    fail(label, "missing or empty \"placement_matrix\" array");
-  } else {
-    for (const auto& entry : matrix->second.array()) {
-      if (!entry.is_object() || !json::get_str(entry.object(), "placement", s) ||
-          !json::get_num(entry.object(), "seconds", d) ||
-          !json::get_num(entry.object(), "scenarios_per_sec", d)) {
-        fail(label, "malformed placement_matrix entry");
-        break;
-      }
-    }
-  }
 
   // speedup is the one key whose *type* is conditional: a number on real
   // multi-core hosts, null (with a stated reason) on 1-CPU runners.
@@ -648,7 +624,6 @@ int main(int argc, char** argv) {
     info_diff(f, r, "serial_scenarios_per_sec");
     info_diff(f, r, "parallel_scenarios_per_sec");
     info_diff(f, r, "pooled_allocs_per_scenario");
-    info_diff(f, r, "trace_overhead");
   }
 
   if (failures == 0) {

@@ -6,14 +6,8 @@
 //   trace_inspect --diff A B        byte-compare two JSONL traces; prints the
 //                                   first differing line (traces are
 //                                   deterministic, so equal runs are equal
-//                                   files).  Lines recording the worker
-//                                   placement plan (worker.cpu /
-//                                   worker.node, docs/PROTOCOL.md §9.4) are
-//                                   environment metadata, not run content —
-//                                   they differ across --pin policies and
-//                                   job counts by design, so --diff skips
-//                                   them on both sides and reports how many
-//                                   it ignored
+//                                   files).  The header's transport label
+//                                   is the one field allowed to differ
 //
 // Exit status: 0 = valid / equal, 1 = invalid / different / usage error.
 
@@ -58,27 +52,15 @@ int summary(const std::string& path) {
   return 0;
 }
 
-// Worker placement events describe the execution environment (which CPU a
-// pool worker was planned onto), not the run: they legitimately differ
-// across --pin policies and job counts while the run content stays
-// byte-identical.  The JSONL field order is fixed, so a prefix test is an
-// exact kind test.
-bool is_placement_line(const std::string& line) {
-  return line.rfind("{\"k\":\"worker.", 0) == 0;
-}
-
-// The JSONL header declares the total event count, which includes the
-// skipped placement events — mask it out of the comparison too.  It may also
-// name the transport that carried the run ("sim" vs "shm"); the §11 oracle
-// contract is exactly that the *content* matches across transports, so the
-// label is environment metadata like placement, not run content.
+// The JSONL header may name the transport that carried the run ("sim" vs
+// "shm"); the §11 oracle contract is exactly that the *content* matches
+// across transports, so the label is environment metadata, not run content.
+// The header's event count needs no mask: equal bodies have equal counts.
 bool is_header_line(const std::string& line) {
   return line.rfind("{\"schema\":", 0) == 0;
 }
 
-std::string normalize_header(std::string s) {
-  const auto ev = s.rfind(",\"events\":");
-  if (ev != std::string::npos) s.erase(ev);
+std::string without_transport(std::string s) {
   constexpr std::string_view kField = ",\"transport\":\"";
   const auto tp = s.find(kField);
   if (tp != std::string::npos) {
@@ -94,34 +76,16 @@ int diff(const std::string& a_path, const std::string& b_path) {
     std::fprintf(stderr, "cannot open %s\n", (!a ? a_path : b_path).c_str());
     return 1;
   }
-  std::size_t ignored = 0;
   bool header_differs = false;
-  // Next comparable line, skipping placement events.
-  auto next = [&ignored](std::ifstream& is, std::string& line) {
-    while (std::getline(is, line)) {
-      if (is_placement_line(line)) {
-        ++ignored;
-        continue;
-      }
-      return true;
-    }
-    return false;
-  };
   std::string la, lb;
   std::size_t lineno = 0;
   for (;;) {
-    const bool ga = next(a, la);
-    const bool gb = next(b, lb);
+    const bool ga = static_cast<bool>(std::getline(a, la));
+    const bool gb = static_cast<bool>(std::getline(b, lb));
     ++lineno;
     if (!ga && !gb) {
-      if (ignored > 0)
-        std::printf("traces identical (%zu lines, %zu placement lines "
-                    "ignored%s)\n",
-                    lineno - 1, ignored,
-                    header_differs ? ", headers differ only in event count"
-                                   : "");
-      else
-        std::printf("traces identical (%zu lines)\n", lineno - 1);
+      std::printf("traces identical (%zu lines%s)\n", lineno - 1,
+                  header_differs ? ", headers differ only in transport" : "");
       return 0;
     }
     if (ga != gb) {
@@ -130,13 +94,10 @@ int diff(const std::string& a_path, const std::string& b_path) {
       return 1;
     }
     if (la != lb) {
-      // Header event counts include placement events, and the transport
-      // label legitimately differs across backends; tolerate exactly those.
-      if (lineno == 1 && is_header_line(la) && is_header_line(lb)) {
-        if (normalize_header(la) == normalize_header(lb)) {
-          header_differs = true;
-          continue;
-        }
+      if (lineno == 1 && is_header_line(la) && is_header_line(lb) &&
+          without_transport(la) == without_transport(lb)) {
+        header_differs = true;
+        continue;
       }
       std::printf("traces differ at line %zu:\n- %s\n+ %s\n", lineno,
                   la.c_str(), lb.c_str());
