@@ -15,6 +15,7 @@
 int main(int argc, char** argv) {
   using namespace aoft;
 
+  util::flag_reject_unknown(argc, argv, {"--jobs", "--runs"});
   const int jobs = util::flag_int(argc, argv, "--jobs", 1);
   const int runs = util::flag_int(argc, argv, "--runs", 15);
 

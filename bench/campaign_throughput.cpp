@@ -127,6 +127,8 @@ Timed timed_campaign(fault::CampaignConfig cfg, int jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  util::flag_reject_unknown(argc, argv,
+                            {"--dim", "--runs", "--seed", "--jobs", "--out"});
   fault::CampaignConfig cfg;
   cfg.dim = util::flag_int(argc, argv, "--dim", 4);
   cfg.runs_per_class = util::flag_int(argc, argv, "--runs", 50);

@@ -20,6 +20,8 @@
 int main(int argc, char** argv) {
   using namespace aoft;
 
+  util::flag_reject_unknown(argc, argv,
+                            {"--dim", "--runs", "--seed", "--jobs"});
   fault::CampaignConfig cfg;
   cfg.dim = util::flag_int(argc, argv, "--dim", 4);
   cfg.runs_per_class = util::flag_int(argc, argv, "--runs", 40);

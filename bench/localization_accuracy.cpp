@@ -79,6 +79,8 @@ fault::Diagnosis diagnose(const fault::Scenario& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  util::flag_reject_unknown(argc, argv,
+                            {"--dim", "--runs", "--seed", "--jobs"});
   fault::CampaignConfig cfg;
   cfg.dim = util::flag_int(argc, argv, "--dim", 4);
   cfg.runs_per_class = util::flag_int(argc, argv, "--runs", 30);

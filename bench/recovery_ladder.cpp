@@ -103,6 +103,7 @@ fault::SupervisedRun run_case(int dim, std::span<const sort::Key> input,
 }  // namespace
 
 int main(int argc, char** argv) {
+  util::flag_reject_unknown(argc, argv, {"--jobs"});
   const int dim = 5;
   const std::size_t m = 8;
   const int jobs = util::flag_int(argc, argv, "--jobs", 1);

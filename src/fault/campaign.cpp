@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <span>
+#include <string_view>
+#include <type_traits>
 
 #include "fault/campaign_store.h"
 #include "obs/metrics.h"
@@ -215,72 +217,15 @@ ScenarioResult finish_result(const Scenario& s, const sort::SortRun& run,
   return r;
 }
 
-// ---- slot engine ------------------------------------------------------------
-//
-// One slot = one requested exercised run.  All randomness for (stream, slot,
-// attempt) comes from util::derive_seed, so slots are independent pure
-// functions of the campaign seed: phase 1 pre-draws attempt-0 scenarios
-// serially (cheap, and keeps draw_scenario's contract single-threaded),
-// phase 2 executes slots across the pool (redraws derive later attempt
-// sub-seeds in-worker), and aggregation walks slots in order.
-
 // Seed streams: single-fault classes use their enum value, multi-fault
-// campaigns use a disjoint range keyed by k.
+// campaigns use a disjoint range keyed by k, soak campaigns another keyed by
+// the injection mode.
 std::uint64_t class_stream(FaultClass c) {
   return static_cast<std::uint64_t>(c);
 }
-std::uint64_t multi_stream(int k) {
-  return 0x100u + static_cast<std::uint64_t>(k);
-}
-
-struct SlotOutcome {
-  std::optional<ScenarioResult> sft;  // engaged iff some attempt exercised
-  int attempts = 0;                   // scenario executions consumed
-  bool snr_counted = false;
-  sort::Outcome snr_outcome{};
-  // Per-slot observability collection (merged in slot order by phase 3).
-  obs::Tracer trace;
-  obs::MetricsRegistry metrics;
-};
-
-Scenario draw_slot_attempt(FaultClass fclass, const CampaignConfig& cfg,
-                           std::size_t slot, int attempt) {
-  util::Rng rng(
-      util::derive_seed(cfg.seed, class_stream(fclass), slot,
-                        static_cast<std::uint64_t>(attempt)));
-  return draw_scenario(fclass, cfg, rng);
-}
-
-SlotOutcome run_slot(FaultClass fclass, const CampaignConfig& cfg,
-                     std::size_t slot, const Scenario& first_draw) {
-  SlotOutcome out;
-  // Bind this slot's private sinks to the executing worker thread (and shadow
-  // any ambient sink, so inline jobs == 1 runs collect identically).
-  obs::ScopedSink bind(cfg.tracer != nullptr ? &out.trace : nullptr,
-                       cfg.metrics != nullptr ? &out.metrics : nullptr);
-  for (int attempt = 0; attempt < kMaxSlotAttempts; ++attempt) {
-    const Scenario s = attempt == 0
-                           ? first_draw
-                           : draw_slot_attempt(fclass, cfg, slot, attempt);
-    ++out.attempts;
-    if (auto* tr = obs::tracer())
-      tr->instant(obs::Ev::kScenario, obs::kGlobal, -1, -1, 0.0,
-                  static_cast<std::int64_t>(slot), attempt,
-                  to_string(fclass));
-    if (auto* me = obs::metrics()) me->inc(obs::Counter::kScenarios);
-    auto r = run_scenario_sft(s, cfg);
-    if (!r.fault_exercised) continue;  // injection point never reached
-    out.sft = std::move(r);
-    if (applies_to_snr(fclass)) {
-      const auto b = run_scenario_snr(s, cfg);
-      if (b.fault_exercised) {
-        out.snr_counted = true;
-        out.snr_outcome = b.outcome;
-      }
-    }
-    break;
-  }
-  return out;
+std::uint64_t multi_stream(std::uint64_t k) { return 0x100u + k; }
+std::uint64_t soak_stream(InjectionMode mode) {
+  return 0x200u + static_cast<std::uint64_t>(mode);
 }
 
 // One simulated Machine per worker thread, rebuilt only when the cube
@@ -314,23 +259,69 @@ sort::SftOptions sft_options(const CampaignConfig& cfg, int dim,
   return opts;
 }
 
-// Run body(i) for i in [0, count): inline when jobs == 1, across a pool
-// otherwise.  Bodies write into disjoint slots of pre-sized vectors, so the
-// execution order never shows in the output.
-void for_each_slot(const CampaignConfig& cfg, std::size_t count,
-                   const std::function<void(std::size_t)>& body) {
+// ---- slot engine ------------------------------------------------------------
+//
+// Every campaign kind is a list of slot ids; one slot = one requested
+// exercised run.  key(id) names the slot's seed stream, its index in that
+// stream and its trace label.  Attempt a draws from a fresh Rng seeded with
+// derive_seed(cfg.seed, stream, index, a), so each slot is a pure function of
+// the campaign seed and slots may run in any order on any worker.
+// attempt(id, rng) runs one draw and returns its result once the injection
+// was exercised (nullopt: redraw).  After the first exercised attempt, or
+// kMaxSlotAttempts unexercised ones (the slot is dropped), done(id, attempts,
+// result) records the slot on the worker.  Each slot traces into private
+// sinks, merged in slot order once the pool drains, so traces and metrics
+// are the same for every job count, like the results.
+
+struct SlotKey {
+  std::uint64_t stream;
+  std::uint64_t index;
+  std::string_view label;  // the kScenario event's detail
+};
+
+template <typename Key, typename Attempt, typename Done>
+void run_slots(const CampaignConfig& cfg, std::span<const std::uint64_t> ids,
+               const Key& key, const Attempt& attempt, const Done& done) {
+  struct Sinks {
+    obs::Tracer trace;
+    obs::MetricsRegistry metrics;
+  };
+  std::vector<Sinks> sinks(ids.size());
+  auto run_one = [&](std::size_t i) {
+    obs::ScopedSink bind(cfg.tracer != nullptr ? &sinks[i].trace : nullptr,
+                         cfg.metrics != nullptr ? &sinks[i].metrics : nullptr);
+    const SlotKey k = key(ids[i]);
+    std::invoke_result_t<const Attempt&, std::uint64_t, util::Rng&> result;
+    int attempts = 0;
+    while (!result && attempts < kMaxSlotAttempts) {
+      util::Rng rng(util::derive_seed(cfg.seed, k.stream, k.index,
+                                      static_cast<std::uint64_t>(attempts)));
+      if (auto* tr = obs::tracer())
+        tr->instant(obs::Ev::kScenario, obs::kGlobal, -1, -1, 0.0,
+                    static_cast<std::int64_t>(k.index), attempts,
+                    std::string(k.label));
+      if (auto* me = obs::metrics()) me->inc(obs::Counter::kScenarios);
+      ++attempts;
+      result = attempt(ids[i], rng);
+    }
+    done(ids[i], attempts, std::move(result));
+  };
   const int n = util::ThreadPool::resolve(cfg.jobs);
-  if (n <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
+  if (n <= 1 || ids.size() <= 1) {
+    for (std::size_t i = 0; i < ids.size(); ++i) run_one(i);
+  } else {
+    util::ThreadPool pool(n);
+    pool.parallel_for(ids.size(), run_one);
   }
-  util::ThreadPool pool(n);
-  pool.parallel_for(count, body);
+  for (auto& sink : sinks) {
+    if (cfg.tracer != nullptr) cfg.tracer->append(std::move(sink.trace));
+    if (cfg.metrics != nullptr) cfg.metrics->merge(sink.metrics);
+  }
 }
 
 // ---- durable-session plumbing (campaign_store.h) ----------------------------
 //
-// Shared by the scripted and soak engines.  A session owns the in-memory
+// Shared by the scripted and soak kinds.  A session owns the in-memory
 // CheckpointData, the ordered slot stream, and the list of slots this process
 // still has to execute.  Workers commit completed slots through one mutex;
 // the checkpoint is re-saved crash-safely every cfg.checkpoint_every commits,
@@ -448,6 +439,25 @@ void close_session(const CampaignConfig& cfg, StoreSession& ss) {
   ss.since_save = 0;
 }
 
+// The durable kinds (scripted and soak): run the session's pending global
+// slots and commit each record as its slot completes.  Returns every record,
+// resumed ones included.
+template <typename Key, typename Attempt>
+CheckpointData run_durable(const CampaignConfig& cfg, const Key& key,
+                           const Attempt& attempt) {
+  StoreSession ss;
+  open_session(cfg, ss);
+  run_slots(cfg, ss.pending, key, attempt,
+            [&](std::uint64_t g, int attempts, std::optional<SlotRecord> rec) {
+              SlotRecord r = std::move(rec).value_or(SlotRecord{});
+              r.gslot = g;
+              r.attempts = attempts;
+              commit_slot(cfg, ss, std::move(r));
+            });
+  close_session(cfg, ss);
+  return std::move(ss.data);
+}
+
 }  // namespace
 
 ScenarioResult run_scenario_sft(const Scenario& s, const CampaignConfig& cfg) {
@@ -518,79 +528,46 @@ MultiResult run_multi_scenario_sft(const MultiScenario& ms,
 
 std::vector<MultiTally> run_multi_campaign(const CampaignConfig& cfg, int max_k) {
   require_sim_backend(cfg);
-  const auto slots_per_k = static_cast<std::size_t>(cfg.runs_per_class);
-
-  struct MultiSlotOutcome {
-    std::optional<MultiResult> result;  // engaged iff exercised
-    int attempts = 0;
-    obs::Tracer trace;
-    obs::MetricsRegistry metrics;
-  };
-
-  // Phase 1: pre-draw attempt-0 multi-scenarios serially.
-  std::vector<MultiScenario> first_draws(static_cast<std::size_t>(max_k) *
-                                         slots_per_k);
-  for (int k = 1; k <= max_k; ++k)
-    for (std::size_t slot = 0; slot < slots_per_k; ++slot) {
-      util::Rng rng(util::derive_seed(cfg.seed, multi_stream(k), slot, 0));
-      first_draws[static_cast<std::size_t>(k - 1) * slots_per_k + slot] =
-          draw_multi_scenario(k, cfg, rng);
-    }
-
-  // Phase 2: execute every (k, slot) across the pool.
-  std::vector<MultiSlotOutcome> outcomes(first_draws.size());
-  for_each_slot(cfg, outcomes.size(), [&](std::size_t i) {
-    const int k = static_cast<int>(i / slots_per_k) + 1;
-    const std::size_t slot = i % slots_per_k;
-    auto& out = outcomes[i];
-    obs::ScopedSink bind(cfg.tracer != nullptr ? &out.trace : nullptr,
-                         cfg.metrics != nullptr ? &out.metrics : nullptr);
-    for (int attempt = 0; attempt < kMaxSlotAttempts; ++attempt) {
-      MultiScenario ms;
-      if (attempt == 0) {
-        ms = first_draws[i];
-      } else {
-        util::Rng rng(util::derive_seed(
-            cfg.seed, multi_stream(k), slot, static_cast<std::uint64_t>(attempt)));
-        ms = draw_multi_scenario(k, cfg, rng);
-      }
-      ++out.attempts;
-      if (auto* tr = obs::tracer())
-        tr->instant(obs::Ev::kScenario, obs::kGlobal, -1, -1, 0.0,
-                    static_cast<std::int64_t>(slot), attempt,
-                    "multi-k" + std::to_string(k));
-      if (auto* me = obs::metrics()) me->inc(obs::Counter::kScenarios);
-      const auto r = run_multi_scenario_sft(ms, cfg);
-      if (!r.fault_exercised) continue;
-      out.result = r;
-      break;
-    }
-  });
-
-  // Phase 3: aggregate in (k, slot) order — identical for every job count.
+  const auto slots_per_k = static_cast<std::uint64_t>(cfg.runs_per_class);
   std::vector<MultiTally> tallies;
+  std::vector<std::string> labels;
   for (int k = 1; k <= max_k; ++k) {
-    MultiTally tally;
-    tally.k = k;
-    for (std::size_t slot = 0; slot < slots_per_k; ++slot) {
-      auto& out =
-          outcomes[static_cast<std::size_t>(k - 1) * slots_per_k + slot];
-      if (cfg.tracer != nullptr) cfg.tracer->append(std::move(out.trace));
-      if (cfg.metrics != nullptr) cfg.metrics->merge(out.metrics);
-      tally.attempts += out.attempts;
-      if (!out.result) {
-        ++tally.dropped;
-        continue;
-      }
-      ++tally.runs;
-      switch (out.result->outcome) {
-        case sort::Outcome::kFailStop: ++tally.detected; break;
-        case sort::Outcome::kCorrect: ++tally.masked; break;
-        case sort::Outcome::kSilentWrong: ++tally.silent_wrong; break;
-      }
-    }
-    tallies.push_back(tally);
+    tallies.push_back(MultiTally{.k = k});
+    labels.push_back("multi-k" + std::to_string(k));
   }
+  std::vector<std::uint64_t> ids(tallies.size() * slots_per_k);
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+  // Tallies are sums, so adding each slot as it completes gives the same
+  // numbers for every job count.
+  std::mutex mu;
+  run_slots(
+      cfg, ids,
+      [&](std::uint64_t id) {
+        return SlotKey{multi_stream(id / slots_per_k + 1), id % slots_per_k,
+                       labels[id / slots_per_k]};
+      },
+      [&](std::uint64_t id, util::Rng& rng) -> std::optional<MultiResult> {
+        const int k = static_cast<int>(id / slots_per_k) + 1;
+        const auto r =
+            run_multi_scenario_sft(draw_multi_scenario(k, cfg, rng), cfg);
+        if (!r.fault_exercised) return std::nullopt;
+        return r;
+      },
+      [&](std::uint64_t id, int attempts, std::optional<MultiResult> r) {
+        std::lock_guard<std::mutex> lock(mu);
+        MultiTally& tally = tallies[id / slots_per_k];
+        tally.attempts += attempts;
+        if (!r) {
+          ++tally.dropped;
+          return;
+        }
+        ++tally.runs;
+        switch (r->outcome) {
+          case sort::Outcome::kFailStop: ++tally.detected; break;
+          case sort::Outcome::kCorrect: ++tally.masked; break;
+          case sort::Outcome::kSilentWrong: ++tally.silent_wrong; break;
+        }
+      });
   return tallies;
 }
 
@@ -601,57 +578,36 @@ CampaignSummary run_campaign(const CampaignConfig& cfg) {
   // Supported classes at this dimension; unsupported ones keep a zeroed
   // tally with every slot reported dropped rather than crashing the draw.
   const std::vector<FaultClass> active = active_classes(cfg.dim);
+  auto fclass_of = [&](std::uint64_t g) { return active[g / slots_per_class]; };
 
-  // Phase 0: open the durable session — load/validate any checkpoint,
-  // rebuild the stream prefix, compute the pending slot list.  A fresh
-  // non-durable campaign degenerates to "every shard slot is pending".
-  StoreSession ss;
-  open_session(cfg, ss);
-
-  // Phase 1: pre-draw attempt-0 scenarios for pending slots serially.
-  std::vector<Scenario> first_draws(ss.pending.size());
-  for (std::size_t i = 0; i < ss.pending.size(); ++i) {
-    const std::uint64_t g = ss.pending[i];
-    first_draws[i] = draw_slot_attempt(active[g / slots_per_class], cfg,
-                                       g % slots_per_class, 0);
-  }
-
-  // Phase 2: execute every pending slot, possibly across the pool, and
-  // commit each to the checkpoint/stream as it completes.
-  std::vector<SlotOutcome> outcomes(ss.pending.size());
-  for_each_slot(cfg, outcomes.size(), [&](std::size_t i) {
-    const std::uint64_t g = ss.pending[i];
-    const FaultClass fclass = active[g / slots_per_class];
-    auto& out = outcomes[i];
-    out = run_slot(fclass, cfg, g % slots_per_class, first_draws[i]);
-    SlotRecord rec;
-    rec.gslot = g;
-    rec.attempts = out.attempts;
-    rec.exercised = out.sft.has_value();
-    if (out.sft) {
-      rec.scenario = out.sft->scenario;
-      rec.outcome = out.sft->outcome;
-      rec.first_detector = out.sft->first_detector;
-      rec.detection_stage = out.sft->detection_stage;
-      rec.snr_counted = out.snr_counted;
-      rec.snr_outcome = out.snr_outcome;
-      rec.faults_fired = out.sft->faults_fired;
-      rec.faulty_nodes = 1;  // scripted scenarios have one faulty node
-    }
-    commit_slot(cfg, ss, std::move(rec));
-  });
-  close_session(cfg, ss);
-
-  // Merge per-slot observability in ascending global-slot order (pending is
-  // ascending, so this matches the old (class, slot) walk exactly).
-  for (auto& out : outcomes) {
-    if (cfg.tracer != nullptr) cfg.tracer->append(std::move(out.trace));
-    if (cfg.metrics != nullptr) cfg.metrics->merge(out.metrics);
-  }
-
-  // Phase 3: aggregate from the records in (class, slot) order — identical
-  // for every job count, shard layout and resume history.
-  return summarize_slots(cfg, ss.data);
+  const CheckpointData data = run_durable(
+      cfg,
+      [&](std::uint64_t g) {
+        return SlotKey{class_stream(fclass_of(g)), g % slots_per_class,
+                       to_string(fclass_of(g))};
+      },
+      [&](std::uint64_t g, util::Rng& rng) -> std::optional<SlotRecord> {
+        const FaultClass fclass = fclass_of(g);
+        const auto r = run_scenario_sft(draw_scenario(fclass, cfg, rng), cfg);
+        if (!r.fault_exercised) return std::nullopt;  // point never reached
+        SlotRecord rec;
+        rec.exercised = true;
+        rec.scenario = r.scenario;
+        rec.outcome = r.outcome;
+        rec.first_detector = r.first_detector;
+        rec.detection_stage = r.detection_stage;
+        rec.faults_fired = r.faults_fired;
+        rec.faulty_nodes = 1;  // scripted scenarios have one faulty node
+        if (applies_to_snr(fclass)) {
+          const auto b = run_scenario_snr(r.scenario, cfg);
+          rec.snr_counted = b.fault_exercised;
+          if (b.fault_exercised) rec.snr_outcome = b.outcome;
+        }
+        return rec;
+      });
+  // Aggregate from the records in (class, slot) order — identical for every
+  // job count, shard layout and resume history.
+  return summarize_slots(cfg, data);
 }
 
 // ---- probabilistic soak campaigns -------------------------------------------
@@ -672,98 +628,63 @@ std::uint64_t max_dislocation(std::span<const sim::Key> output) {
   return worst;
 }
 
-namespace {
-
-// Seed stream for soak slots: disjoint from the per-class and multi-fault
-// ranges.
-std::uint64_t soak_stream(InjectionMode mode) {
-  return 0x200u + static_cast<std::uint64_t>(mode);
-}
-
-// One soak slot: redraw (input, delta, gate seed, victim) until an injection
-// actually fires, up to the shared redraw budget.  Everything consumed comes
-// from derive_seed(seed, soak_stream, slot, attempt) — pure per attempt.
-SlotRecord run_soak_slot(const CampaignConfig& cfg, std::uint64_t g) {
-  const auto num_nodes = std::size_t{1} << cfg.dim;
-  SlotRecord rec;
-  rec.gslot = g;
-  for (int attempt = 0; attempt < kMaxSlotAttempts; ++attempt) {
-    util::Rng rng(util::derive_seed(cfg.seed, soak_stream(cfg.injection.mode),
-                                    g, static_cast<std::uint64_t>(attempt)));
-    const std::uint64_t input_seed = rng.next_u64();
-    const sim::Key delta = rng.next_in(1, 1 << 20) * (rng.next_bool() ? 1 : -1);
-    const std::uint64_t gate_seed = rng.next_u64();
-    const auto faulty = static_cast<cube::NodeId>(rng.next_below(num_nodes));
-    ++rec.attempts;
-    if (auto* tr = obs::tracer())
-      tr->instant(obs::Ev::kScenario, obs::kGlobal, -1, -1, 0.0,
-                  static_cast<std::int64_t>(g), attempt,
-                  to_string(cfg.injection.mode));
-    if (auto* me = obs::metrics()) me->inc(obs::Counter::kScenarios);
-
-    ArrivalStats stats;
-    stats.fired_nodes = util::BitVec(num_nodes);
-    Adversary adversary;
-    if (cfg.injection.mode == InjectionMode::kIndependent)
-      adversary.add(
-          independent_corrupt(cfg.injection.p, delta, gate_seed, &stats));
-    else
-      adversary.add(run_length_crash(faulty, cfg.injection.k, &stats));
-
-    auto input = util::random_keys(input_seed, num_nodes * cfg.block);
-    sort::SftOptions opts = sft_options(cfg, cfg.dim, cfg.block);
-    opts.interceptor = &adversary;
-    auto run = sort::run_sft(cfg.dim, input, opts);
-    if (stats.fired == 0) continue;  // no arrival this attempt; redraw
-
-    rec.exercised = true;
-    rec.outcome = sort::classify(run, input);
-    if (!run.errors.empty()) {
-      rec.first_detector = run.errors.front().source;
-      rec.detection_stage = run.errors.front().stage;
-    }
-    rec.faults_fired = stats.fired;
-    rec.faulty_nodes = static_cast<std::uint32_t>(stats.fired_nodes.count());
-    rec.scenario.dim = cfg.dim;
-    rec.scenario.block = cfg.block;
-    rec.scenario.delta = delta;
-    rec.scenario.input_seed = input_seed;
-    if (cfg.injection.mode == InjectionMode::kRunLength)
-      rec.scenario.faulty = faulty;
-    if (rec.outcome == sort::Outcome::kSilentWrong)
-      rec.dislocation = max_dislocation(run.output);
-    break;
-  }
-  return rec;
-}
-
-}  // namespace
-
 SoakTally run_soak_campaign(const CampaignConfig& cfg) {
   require_sim_backend(cfg);
   assert(cfg.injection.mode != InjectionMode::kScripted);
+  const auto num_nodes = std::size_t{1} << cfg.dim;
 
-  StoreSession ss;
-  open_session(cfg, ss);
+  // A soak attempt draws (input, delta, gate seed, victim) and counts once
+  // an injection actually fires.
+  const CheckpointData data = run_durable(
+      cfg,
+      [&](std::uint64_t g) {
+        return SlotKey{soak_stream(cfg.injection.mode), g,
+                       to_string(cfg.injection.mode)};
+      },
+      [&](std::uint64_t, util::Rng& rng) -> std::optional<SlotRecord> {
+        const std::uint64_t input_seed = rng.next_u64();
+        const sim::Key delta =
+            rng.next_in(1, 1 << 20) * (rng.next_bool() ? 1 : -1);
+        const std::uint64_t gate_seed = rng.next_u64();
+        const auto faulty =
+            static_cast<cube::NodeId>(rng.next_below(num_nodes));
 
-  struct SoakSlotOutcome {
-    obs::Tracer trace;
-    obs::MetricsRegistry metrics;
-  };
-  std::vector<SoakSlotOutcome> outcomes(ss.pending.size());
-  for_each_slot(cfg, ss.pending.size(), [&](std::size_t i) {
-    auto& out = outcomes[i];
-    obs::ScopedSink bind(cfg.tracer != nullptr ? &out.trace : nullptr,
-                         cfg.metrics != nullptr ? &out.metrics : nullptr);
-    commit_slot(cfg, ss, run_soak_slot(cfg, ss.pending[i]));
-  });
-  close_session(cfg, ss);
+        ArrivalStats stats;
+        stats.fired_nodes = util::BitVec(num_nodes);
+        Adversary adversary;
+        if (cfg.injection.mode == InjectionMode::kIndependent)
+          adversary.add(
+              independent_corrupt(cfg.injection.p, delta, gate_seed, &stats));
+        else
+          adversary.add(run_length_crash(faulty, cfg.injection.k, &stats));
 
-  for (auto& out : outcomes) {
-    if (cfg.tracer != nullptr) cfg.tracer->append(std::move(out.trace));
-    if (cfg.metrics != nullptr) cfg.metrics->merge(out.metrics);
-  }
-  return summarize_soak(cfg, ss.data);
+        auto input = util::random_keys(input_seed, num_nodes * cfg.block);
+        sort::SftOptions opts = sft_options(cfg, cfg.dim, cfg.block);
+        opts.interceptor = &adversary;
+        auto run = sort::run_sft(cfg.dim, input, opts);
+        if (stats.fired == 0) return std::nullopt;  // no arrival; redraw
+
+        SlotRecord rec;
+        rec.exercised = true;
+        rec.outcome = sort::classify(run, input);
+        if (!run.errors.empty()) {
+          rec.first_detector = run.errors.front().source;
+          rec.detection_stage = run.errors.front().stage;
+        }
+        rec.faults_fired = stats.fired;
+        rec.faulty_nodes =
+            static_cast<std::uint32_t>(stats.fired_nodes.count());
+        rec.scenario.dim = cfg.dim;
+        rec.scenario.block = cfg.block;
+        rec.scenario.delta = delta;
+        rec.scenario.input_seed = input_seed;
+        if (cfg.injection.mode == InjectionMode::kRunLength)
+          rec.scenario.faulty = faulty;
+        if (rec.outcome == sort::Outcome::kSilentWrong)
+          rec.dislocation = max_dislocation(run.output);
+        return rec;
+      });
+  return summarize_soak(cfg, data);
 }
 
 }  // namespace aoft::fault

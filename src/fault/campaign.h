@@ -29,7 +29,8 @@
 // silently backfilled.  Because slots are independent they execute across a
 // util::ThreadPool when cfg.jobs > 1, and aggregation always walks slots in
 // (class, index) order, so the CampaignSummary is bit-identical for any job
-// count, including the serial jobs == 1 path.
+// count, including the serial jobs == 1 path.  Multi-fault and soak
+// campaigns run on the same slot engine with their own seed streams.
 
 #pragma once
 

@@ -7,9 +7,9 @@
 // Because the slot engine's randomness is a pure function of
 // (seed, stream, slot, attempt) — docs/PROTOCOL.md §8 — a slot's outcome can
 // be persisted once and never re-run: this module stores, per completed
-// global slot, everything phase-3 aggregation needs, so a resumed or merged
-// campaign reconstructs a CampaignSummary bit-identical to an uninterrupted
-// serial run.
+// global slot, everything the in-order aggregation needs, so a resumed or
+// merged campaign reconstructs a CampaignSummary bit-identical to an
+// uninterrupted serial run.
 //
 // Three artifacts:
 //

@@ -10,8 +10,7 @@
 //
 // Cost model: with nothing bound, an instrumentation point is one
 // thread-local load and a branch — no virtual dispatch, no allocation.
-// bench/campaign_throughput guards this (the disabled-path overhead must stay
-// under 2%).
+// perfbench's obs.trace_overhead_ratio records what binding a sink costs.
 
 #pragma once
 

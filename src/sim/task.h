@@ -8,16 +8,15 @@
 // is deterministic.
 //
 // SimTask is a move-only owner of the coroutine frame.  The scheduler takes
-// ownership on spawn and destroys frames after completion.
+// ownership on spawn and destroys frames after completion.  Frames come from
+// the global allocator: one per node task per run, the only allocation a
+// warm machine's messaging makes (tests/sort/alloc_regression_test.cpp).
 
 #pragma once
 
 #include <coroutine>
-#include <cstddef>
 #include <exception>
 #include <utility>
-
-#include "sim/frame_pool.h"
 
 namespace aoft::sim {
 
@@ -25,14 +24,6 @@ class [[nodiscard]] SimTask {
  public:
   struct promise_type {
     std::exception_ptr exception;
-
-    // Coroutine frames come from the thread-local frame pool: N frames per
-    // scenario is the dominant steady-state allocation once key buffers are
-    // pooled.  The sized delete matches frame_allocate's rounded buckets.
-    static void* operator new(std::size_t size) { return frame_allocate(size); }
-    static void operator delete(void* p, std::size_t size) noexcept {
-      frame_deallocate(p, size);
-    }
 
     SimTask get_return_object() {
       return SimTask{std::coroutine_handle<promise_type>::from_promise(*this)};

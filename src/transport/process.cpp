@@ -62,7 +62,8 @@ ChildSet::~ChildSet() { kill_and_reap(); }
 pid_t ChildSet::spawn(std::size_t slot, const std::function<int()>& body) {
   const pid_t pid = ::fork();
   if (pid < 0)
-    throw std::runtime_error("fork failed for node " + std::to_string(slot));
+    throw std::runtime_error("fork failed for node " + std::to_string(slot) +
+                             " (" + std::strerror(errno) + ")");
   if (pid == 0) {
     // Never unwind into the parent's frames: this set's destructor would
     // SIGKILL the siblings from inside the child.
@@ -80,9 +81,10 @@ pid_t ChildSet::spawn(std::size_t slot, const std::function<int()>& body) {
     int wstatus = 0;
     while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
     }
+    // Only ENOSYS means the kernel is too old; EMFILE and friends are limits.
     throw std::runtime_error("pidfd_open failed for node " +
-                             std::to_string(slot) + " (" +
-                             std::strerror(err) + "; Linux >= 5.3 required)");
+                             std::to_string(slot) + " (" + std::strerror(err) +
+                             (err == ENOSYS ? "; Linux >= 5.3 required)" : ")"));
   }
   pids_[slot] = pid;
   pidfds_[slot] = fd;

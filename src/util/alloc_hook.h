@@ -1,11 +1,12 @@
 // Global-allocation counter for the zero-allocation acceptance bar.
 //
-// The pooled messaging hot path (sim/pool.h, sim/frame_pool.h) claims that a
-// warmed-up scenario run performs no heap allocation at steady state.  That
-// claim is only testable if something counts calls to ::operator new — so the
-// bench (campaign_throughput) and the allocation-regression test link
-// aoft_alloc_hook, whose *real* translation unit replaces the global operator
-// new/delete family with malloc-backed versions that bump a relaxed atomic.
+// The pooled messaging hot path (sim/pool.h) claims that a warmed-up
+// scenario run performs no heap allocation at steady state beyond one
+// coroutine frame per node task.  That claim is only testable if something
+// counts calls to ::operator new — so the bench (campaign_throughput) and
+// the allocation-regression test link aoft_alloc_hook, whose *real*
+// translation unit replaces the global operator new/delete family with
+// malloc-backed versions that bump a relaxed atomic.
 //
 // Everything else links the *stub* TU, where alloc_hook_active() is false and
 // alloc_count() stays 0 — no behavior change, no contention.  CMake selects

@@ -1,9 +1,10 @@
 // Minimal --name=value flag parsing shared by the bench harnesses and small
-// tools.  Unknown arguments are ignored by design: every bench keeps running
-// with no arguments at all (the CI default), and flags only override.  Known
-// flags with unparseable values are a different matter — "--runs=ten" used to
-// silently become 0 via atoi and corrupt a whole bench sweep — so the typed
-// accessors reject garbage loudly (usage message + exit 2).
+// tools.  Every bench runs with no arguments at all (the CI default), and
+// flags only override.  Anything else is loud (usage message + exit 2): an
+// argument the binary does not know (flag_reject_unknown; a typo or a
+// deleted flag used to run the defaults silently), and a known flag with an
+// unparseable value ("--runs=ten" used to silently become 0 via atoi and
+// corrupt a whole bench sweep).
 
 #pragma once
 
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 namespace aoft::util {
 
@@ -61,6 +63,25 @@ inline const char* flag_value(int argc, char** argv, const char* name) {
       return argv[i] + len + 1;
   }
   return nullptr;
+}
+
+// Exit 2 with a usage line unless every argument is one of the `known`
+// --name=value flags.  Call it once, before reading any flag.
+inline void flag_reject_unknown(int argc, char** argv,
+                                std::initializer_list<const char*> known) {
+  for (int i = 1; i < argc; ++i) {
+    bool ok = false;
+    for (const char* name : known) {
+      const std::size_t len = std::strlen(name);
+      ok |= std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=';
+    }
+    if (ok) continue;
+    std::fprintf(stderr, "%s: unknown argument \"%s\"\nusage: %s", argv[0],
+                 argv[i], argv[0]);
+    for (const char* name : known) std::fprintf(stderr, " [%s=...]", name);
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
 }
 
 [[noreturn]] inline void flag_die(const char* name, const char* value,

@@ -125,11 +125,12 @@ TEST(CampaignDeterminismTest, MultiCampaignSameSeedTwiceIdentical) {
 }
 
 // The observability layer must not weaken the determinism contract: per-slot
-// tracers/registries are merged in (class, slot) order after the pool
-// drains, so the serialized trace and the merged metrics are byte-identical
-// for every job count.
+// tracers/registries are merged in slot order after the pool drains, so the
+// serialized trace and the merged metrics are byte-identical for every job
+// count.  All three campaign kinds share the slot engine; each is pinned.
 TEST(CampaignDeterminismTest, TraceAndMetricsAreJobCountInvariant) {
-  auto traced = [](int jobs) {
+  enum class Kind { kScripted, kMulti, kIndependent, kRunLength };
+  auto traced = [](Kind kind, int jobs) {
     struct Out {
       std::string trace;
       obs::MetricsRegistry metrics;
@@ -138,7 +139,25 @@ TEST(CampaignDeterminismTest, TraceAndMetricsAreJobCountInvariant) {
     auto cfg = small_config(jobs);
     cfg.tracer = &tracer;
     cfg.metrics = &out.metrics;
-    run_campaign(cfg);
+    switch (kind) {
+      case Kind::kScripted:
+        run_campaign(cfg);
+        break;
+      case Kind::kMulti:
+        cfg.dim = 4;  // room for k = 3 distinct faulty nodes
+        run_multi_campaign(cfg, 3);
+        break;
+      case Kind::kIndependent:
+        cfg.injection.mode = InjectionMode::kIndependent;
+        cfg.injection.p = 0.05;
+        run_soak_campaign(cfg);
+        break;
+      case Kind::kRunLength:
+        cfg.injection.mode = InjectionMode::kRunLength;
+        cfg.injection.k = 3;
+        run_soak_campaign(cfg);
+        break;
+    }
     obs::TraceMeta meta;
     meta.dim = cfg.dim;
     meta.seed = cfg.seed;
@@ -148,21 +167,25 @@ TEST(CampaignDeterminismTest, TraceAndMetricsAreJobCountInvariant) {
     out.trace = ss.str();
     return out;
   };
-  const auto serial = traced(1);
-  const auto parallel = traced(4);
-  ASSERT_FALSE(serial.trace.empty());
-  EXPECT_EQ(serial.trace, parallel.trace);
-  for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
-    const auto c = static_cast<obs::Counter>(i);
-    EXPECT_EQ(serial.metrics.get(c), parallel.metrics.get(c))
-        << obs::to_string(c);
-  }
-  EXPECT_GT(serial.metrics.get(obs::Counter::kScenarios), 0u);
+  for (Kind kind : {Kind::kScripted, Kind::kMulti, Kind::kIndependent,
+                    Kind::kRunLength}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const auto serial = traced(kind, 1);
+    const auto parallel = traced(kind, 4);
+    ASSERT_FALSE(serial.trace.empty());
+    EXPECT_EQ(serial.trace, parallel.trace);
+    for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
+      const auto c = static_cast<obs::Counter>(i);
+      EXPECT_EQ(serial.metrics.get(c), parallel.metrics.get(c))
+          << obs::to_string(c);
+    }
+    EXPECT_GT(serial.metrics.get(obs::Counter::kScenarios), 0u);
 
-  // The merged trace is schema-valid as written.
-  std::stringstream ss(serial.trace);
-  std::string error;
-  EXPECT_TRUE(obs::read_jsonl(ss, &error)) << error;
+    // The merged trace is schema-valid as written.
+    std::stringstream ss(serial.trace);
+    std::string error;
+    EXPECT_TRUE(obs::read_jsonl(ss, &error)) << error;
+  }
 }
 
 // Attaching a tracer must not perturb the campaign itself.

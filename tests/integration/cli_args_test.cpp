@@ -4,11 +4,17 @@
 // (--transport/--kill/--node-bin/--emit-run) enforces its documented
 // constraints.  Also proves the --emit-run cross-check contract at the CLI
 // level: the same fault script on sim and shm emits records that agree in
-// everything but the transport label.
+// everything but the transport label, and that a fleet which cannot spawn
+// fails loudly without orphaning its children.
 
 #include <fcntl.h>
+#include <sys/prctl.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include <cerrno>
+#include <csignal>
 
 #include <gtest/gtest.h>
 
@@ -34,19 +40,23 @@ std::string fresh_path(const std::string& name) {
   return path;
 }
 
-// Fork/exec the CLI with the given arguments; returns its exit code
-// (-1 when it died by signal, 127 when exec failed).
-int run_cli(const std::vector<std::string>& extra_args) {
+// Fork/exec the CLI with the given arguments and return its pid.  A nonzero
+// `nofile` lowers RLIMIT_NOFILE in the child first.  The child leads its own
+// process group, so a test can kill whatever it leaves behind.
+pid_t spawn_cli(const std::vector<std::string>& extra_args, rlim_t nofile = 0) {
   std::vector<std::string> args = {AOFT_CLI_PATH};
   args.insert(args.end(), extra_args.begin(), extra_args.end());
   const pid_t pid = fork();
   if (pid == 0) {
+    setpgid(0, 0);
     const int devnull = open("/dev/null", O_WRONLY);
     if (devnull >= 0) {
       dup2(devnull, STDOUT_FILENO);
       dup2(devnull, STDERR_FILENO);
       close(devnull);
     }
+    const rlimit limit{nofile, nofile};
+    if (nofile != 0 && setrlimit(RLIMIT_NOFILE, &limit) != 0) _exit(126);
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (auto& a : args) argv.push_back(a.data());
@@ -55,9 +65,19 @@ int run_cli(const std::vector<std::string>& extra_args) {
     _exit(127);
   }
   EXPECT_GT(pid, 0) << "fork failed";
+  return pid;
+}
+
+// Reap a spawned CLI; returns its exit code (-1 when it died by signal, 127
+// when exec failed).
+int wait_cli(pid_t pid) {
   int status = 0;
   EXPECT_EQ(waitpid(pid, &status, 0), pid);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int run_cli(const std::vector<std::string>& extra_args) {
+  return wait_cli(spawn_cli(extra_args));
 }
 
 obs::json::Value parse_run_file(const std::string& path) {
@@ -76,6 +96,27 @@ TEST(CliArgs, UnknownArgumentIsAUsageError) {
   // batching flag must fail loudly rather than run without it.
   EXPECT_EQ(run_cli({"--campaign", "--pin=compact"}), 1);
   EXPECT_EQ(run_cli({"--campaign", "--batch=8"}), 1);
+}
+
+// A fleet that runs out of fds while spawning fails loudly (exit 1, not an
+// abort) and leaves no node behind: the CLI catches, so its ChildSet kills
+// and reaps the children it already forked.  This process becomes a child
+// subreaper, so a node the CLI orphaned would be reparented here.
+TEST(CliArgs, SpawnFailureLeavesNoChildBehind) {
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0), 0);
+  for (const char* transport : {"--transport=shm", "--transport=tcp"}) {
+    // 40 fds cannot hold a dim-6 fleet's 64 pidfds.
+    const pid_t cli = spawn_cli({"--dim=6", transport, "--quiet"}, 40);
+    EXPECT_EQ(wait_cli(cli), 1) << transport;
+    errno = 0;
+    EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1)
+        << transport << ": a node outlived the CLI";
+    EXPECT_EQ(errno, ECHILD) << transport;
+    kill(-cli, SIGKILL);
+    while (waitpid(-1, nullptr, 0) > 0) {
+    }
+  }
+  prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0);
 }
 
 TEST(CliArgs, GarbageNumericValuesAreUsageErrors) {

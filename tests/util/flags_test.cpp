@@ -1,7 +1,6 @@
-// Checked flag parsing (util/flags.h).  The bench harnesses keep their
-// documented ignore-unknown-argument behaviour, but a *known* flag with an
-// unparseable value must die loudly: "--runs=ten" silently becoming 0 via
-// atoi once corrupted a whole sweep.
+// Checked flag parsing (util/flags.h).  An argument a bench does not know
+// must die loudly, and so must a *known* flag with an unparseable value:
+// "--runs=ten" silently becoming 0 via atoi once corrupted a whole sweep.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +63,8 @@ TEST(FlagValue, FindsKnownFlagsIgnoresUnknown) {
   char* argv[] = {a0, a1, a2};
   EXPECT_STREQ(util::flag_value(3, argv, "--runs"), "5");
   EXPECT_EQ(util::flag_value(3, argv, "--jobs"), nullptr);
-  // Unknown arguments stay ignored by design (the CI default is no args).
+  // flag_value is a lookup; rejecting unknown arguments is
+  // flag_reject_unknown's job.
   EXPECT_EQ(util::flag_int(3, argv, "--jobs", 4), 4);
   EXPECT_EQ(util::flag_int(3, argv, "--runs", 4), 5);
 }
@@ -83,6 +83,28 @@ TEST(FlagDeath, NegativeU64Exits2) {
   char* argv[] = {a0, a1};
   EXPECT_EXIT(util::flag_u64(2, argv, "--seed", 1),
               ::testing::ExitedWithCode(2), "bad value");
+}
+
+TEST(FlagDeath, UnknownFlagExits2) {
+  char a0[] = "bench", a1[] = "--runs=5", a2[] = "--pin=compact";
+  char* argv[] = {a0, a1, a2};
+  EXPECT_EXIT(util::flag_reject_unknown(3, argv, {"--runs", "--jobs"}),
+              ::testing::ExitedWithCode(2),
+              "unknown argument \"--pin=compact\"");
+  // A known name without its value is unknown too.
+  char b1[] = "--runs";
+  char* bare[] = {a0, b1};
+  EXPECT_EXIT(util::flag_reject_unknown(2, bare, {"--runs"}),
+              ::testing::ExitedWithCode(2),
+              "usage: bench \\[--runs=\\.\\.\\.\\]");
+}
+
+TEST(FlagValue, KnownFlagsPassTheUnknownCheck) {
+  char a0[] = "bench", a1[] = "--runs=5", a2[] = "--jobs=2";
+  char* argv[] = {a0, a1, a2};
+  util::flag_reject_unknown(3, argv, {"--runs", "--jobs", "--dim"});
+  util::flag_reject_unknown(1, argv, {"--runs"});  // no arguments at all
+  EXPECT_EQ(util::flag_int(3, argv, "--jobs", 1), 2);
 }
 
 }  // namespace

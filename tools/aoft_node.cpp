@@ -87,6 +87,8 @@ int run_tcp(const char* connect, long long node, const char* listen,
 }  // namespace
 
 int main(int argc, char** argv) {
+  aoft::util::flag_reject_unknown(
+      argc, argv, {"--segment", "--connect", "--node", "--listen"});
   const char* segment = aoft::util::flag_value(argc, argv, "--segment");
   const char* connect = aoft::util::flag_value(argc, argv, "--connect");
   const char* node_str = aoft::util::flag_value(argc, argv, "--node");

@@ -739,60 +739,8 @@ fault::RecoveryPolicy recovery_policy(const std::string& name) {
   return p;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  if (!parse(argc, argv, args)) {
-    std::fprintf(stderr,
-                 "usage: %s [--algo=sft|snr|host|host-verified] [--dim=N]\n"
-                 "          [--block=M] [--seed=S] [--halt=node@stage:iter]\n"
-                 "          [--invert=node@stage:iter] [--two-faced=node@stage:iter]\n"
-                 "          [--kill=node@stage:iter] [--wedge=node@stage:iter]\n"
-                 "          [--transport=sim|shm|tcp] [--hosts=FILE]\n"
-                 "          [--node-bin=PATH] [--timeout=SECONDS]\n"
-                 "          [--emit-run=PATH] [--trace-links=PATH]\n"
-                 "          [--recover=off|restart|rollback|ladder] [--transient]\n"
-                 "          [--diagnose] [--quiet] [--trace=PATH]\n"
-                 "       %s --campaign [--dim=N] [--block=M] [--seed=S]\n"
-                 "          [--runs=R] [--jobs=J] [--multi=K] [--quiet]\n"
-                 "          [--simd=scalar|avx2|neon|auto]\n"
-                 "          [--mode=scripted|independent:P|runlength:K]\n"
-                 "          [--checkpoint=PATH] [--resume[=force-restart]]\n"
-                 "          [--stream=PATH] [--shard=i/N]\n"
-                 "          [--checkpoint-every=N] [--stop-after=N]\n"
-                 "          [--trace=PATH]  (.json = Chrome trace, else JSONL)\n",
-                 argv[0], argv[0]);
-    return 1;
-  }
-
-  if (!args.simd.empty()) {
-    // Pin the kernel dispatch path before any sort runs.  Like AOFT_SIMD in
-    // the environment, an unavailable path dies loudly (usage error) rather
-    // than degrading — dispatch is environment metadata and never changes
-    // results (docs/PROTOCOL.md §12), so forcing exists purely for CI and
-    // benchmarking.
-    try {
-      if (const auto p = util::simd::parse(args.simd))
-        sort::kernels::force_path(*p);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--simd: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (args.campaign) {
-    try {
-      return run_campaign_mode(args);
-    } catch (const fault::StoreError& e) {
-      // Unusable checkpoint/stream: loud, specific, distinct exit status.
-      std::fprintf(stderr, "campaign store [%s]: %s\n",
-                   fault::to_string(e.status()), e.what());
-      return 4;
-    }
-  }
-
-  // Single and supervised runs execute on this thread; bind the sinks here.
+// Single and supervised runs execute on this thread; bind the sinks here.
+int run_sort_mode(const Args& args) {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   std::optional<obs::ScopedSink> sink;
@@ -966,4 +914,62 @@ int main(int argc, char** argv) {
     case sort::Outcome::kSilentWrong: return 3;
   }
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  if (!parse(argc, argv, args)) {
+    std::fprintf(stderr,
+                 "usage: %s [--algo=sft|snr|host|host-verified] [--dim=N]\n"
+                 "          [--block=M] [--seed=S] [--halt=node@stage:iter]\n"
+                 "          [--invert=node@stage:iter] [--two-faced=node@stage:iter]\n"
+                 "          [--kill=node@stage:iter] [--wedge=node@stage:iter]\n"
+                 "          [--transport=sim|shm|tcp] [--hosts=FILE]\n"
+                 "          [--node-bin=PATH] [--timeout=SECONDS]\n"
+                 "          [--emit-run=PATH] [--trace-links=PATH]\n"
+                 "          [--recover=off|restart|rollback|ladder] [--transient]\n"
+                 "          [--diagnose] [--quiet] [--trace=PATH]\n"
+                 "       %s --campaign [--dim=N] [--block=M] [--seed=S]\n"
+                 "          [--runs=R] [--jobs=J] [--multi=K] [--quiet]\n"
+                 "          [--simd=scalar|avx2|neon|auto]\n"
+                 "          [--mode=scripted|independent:P|runlength:K]\n"
+                 "          [--checkpoint=PATH] [--resume[=force-restart]]\n"
+                 "          [--stream=PATH] [--shard=i/N]\n"
+                 "          [--checkpoint-every=N] [--stop-after=N]\n"
+                 "          [--trace=PATH]  (.json = Chrome trace, else JSONL)\n",
+                 argv[0], argv[0]);
+    return 1;
+  }
+
+  if (!args.simd.empty()) {
+    // Pin the kernel dispatch path before any sort runs.  Like AOFT_SIMD in
+    // the environment, an unavailable path dies loudly (usage error) rather
+    // than degrading — dispatch is environment metadata and never changes
+    // results (docs/PROTOCOL.md §12), so forcing exists purely for CI and
+    // benchmarking.
+    try {
+      if (const auto p = util::simd::parse(args.simd))
+        sort::kernels::force_path(*p);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "--simd: %s\n", e.what());
+      return 1;
+    }
+  }
+
+  try {
+    return args.campaign ? run_campaign_mode(args) : run_sort_mode(args);
+  } catch (const fault::StoreError& e) {
+    // Unusable checkpoint/stream: loud, specific, distinct exit status.
+    std::fprintf(stderr, "campaign store [%s]: %s\n",
+                 fault::to_string(e.status()), e.what());
+    return 4;
+  } catch (const std::exception& e) {
+    // A fleet that cannot start (out of fds or processes) throws while
+    // spawning.  Catching unwinds its ChildSet, which kills and reaps the
+    // children already forked instead of orphaning them.
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
 }
