@@ -43,4 +43,23 @@ BitVec pre_mask(const Topology& topo, int i, int j, NodeId node);
 std::uint64_t vect_mask_count(int i, int j);
 std::uint64_t pre_mask_count(int i, int j);
 
+// vect_mask / pre_mask of stage i in closed form, for callers that must not
+// build a BitVec: the labels reachable from `node` by flipping any subset of
+// bits lo..hi, which is `node` alone when lo > hi.  Every such label lies in
+// node's SC_{hi+1} window (the 2^(hi+1) labels sharing node's bits above
+// hi), and within that window the covered cells are every 2^lo-th one,
+// starting at node's bits below lo.
+struct MaskCover {
+  NodeId node = 0;
+  int lo = 0;
+  int hi = -1;
+};
+
+constexpr MaskCover vect_cover(int i, int j, NodeId node) {
+  return {node, j, i};
+}
+constexpr MaskCover pre_cover(int i, int j, NodeId node) {
+  return {node, j + 1, i};
+}
+
 }  // namespace aoft::cube

@@ -55,12 +55,13 @@ void Ctx::send(cube::NodeId to, Message m) {
   machine_->deliver(id_, to, std::move(m));
 }
 
-void Ctx::send(cube::NodeId to, Message m, std::span<const Key> lbs) {
+void Ctx::send(cube::NodeId to, Message m, std::span<const Key> lbs,
+               cube::MaskCover cover) {
   check_link(to);
   const std::size_t words = m.data.size() + lbs.size();
   stamp_send(m, machine_->cost_.msg_cost(words), words);
   if (machine_->lends_node_lbs()) {
-    machine_->deliver_lent(id_, to, m, lbs);
+    machine_->deliver_lent(id_, to, m, lbs, cover);
     return;
   }
   m.lbs.assign(lbs.begin(), lbs.end());
@@ -213,16 +214,17 @@ void Machine::deliver(cube::NodeId from, cube::NodeId to, Message m) {
   // Interception, recording and metrics all happen sender-side (above), so a
   // remote run's event log is the local node's exact share of the sim's.
   if (remote_ != nullptr && static_cast<std::int32_t>(to) != remote_local_) {
-    remote_->send_node(from, to, m, m.lbs);
+    remote_->send_node(from, to, m, m.lbs, std::nullopt);
     return;
   }
   link_channel(to, from).push(std::move(m));
 }
 
 void Machine::deliver_lent(cube::NodeId from, cube::NodeId to,
-                           const Message& m, std::span<const Key> lbs) {
+                           const Message& m, std::span<const Key> lbs,
+                           const cube::MaskCover& cover) {
   record_link(from, to, m, m.data.size() + lbs.size(), true);
-  remote_->send_node(from, to, m, lbs);
+  remote_->send_node(from, to, m, lbs, cover);
 }
 
 [[gnu::always_inline]] inline void Machine::record_host_link(

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "hypercube/masks.h"
 #include "hypercube/topology.h"
 #include "sim/channel.h"
 #include "sim/cost_model.h"
@@ -98,11 +99,13 @@ class Ctx {
   // As above, with `lbs` as the message's LBS payload (m.lbs must be empty).
   // The span is read before send returns.  When a remote link carries the
   // message and no interceptor sees it, the link gathers the span straight
-  // onto the wire; otherwise it is copied into m.lbs first, because a local
-  // receiver runs after the sender has moved on and an interceptor may
-  // mutate the message.  Costs, link events and metrics count the same
-  // words either way.
-  void send(cube::NodeId to, Message m, std::span<const Key> lbs);
+  // onto the wire, and may leave out every cell outside `cover`, the mask
+  // the receiver reads the window through (sim/remote.h); otherwise the
+  // whole span is copied into m.lbs first, because a local receiver runs
+  // after the sender has moved on and an interceptor may mutate the
+  // message.  Costs, link events and metrics count the same words either way.
+  void send(cube::NodeId to, Message m, std::span<const Key> lbs,
+            cube::MaskCover cover);
 
   // Awaitable receive from the link to an adjacent node.
   Channel::RecvAwaiter recv(cube::NodeId from);
@@ -284,7 +287,7 @@ class Machine {
     return remote_ != nullptr && remote_local_ >= 0;
   }
   void deliver_lent(cube::NodeId from, cube::NodeId to, const Message& m,
-                    std::span<const Key> lbs);
+                    std::span<const Key> lbs, const cube::MaskCover& cover);
   void deliver_host_lent(cube::NodeId from, const Message& m,
                          std::span<const Key> lbs);
   // The one recording point for every node-link send: link event, metrics

@@ -21,8 +21,10 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <span>
 
+#include "hypercube/masks.h"
 #include "hypercube/topology.h"
 #include "sim/message.h"
 #include "sim/pool.h"
@@ -40,8 +42,20 @@ class RemoteLink {
   // payload and stands in for m.lbs: either m.lbs itself, or a window the
   // sender lent (Ctx::send with a span) that is only valid until the call
   // returns.
+  //
+  // The cover contract.  A lent window comes with `cover`, the protocol
+  // mask its receiver reads it through: `lbs` is the sender's SC_{hi+1}
+  // window, 2^(hi+1) cells of equal size, and the receiver reads only the
+  // cells of the labels in the cover (S_FT's Φ_C merge reads exactly the
+  // sender's vect_mask or pre_mask, which the sender computes from the
+  // topology, not from what it happens to hold).  The link must deliver
+  // `lbs.size()` keys and the covered cells' values exactly; what it
+  // delivers in the other cells is unspecified, and a link may skip
+  // writing them.  With no cover (m.lbs itself, which an interceptor may
+  // have rewritten) every cell is delivered.
   virtual void send_node(cube::NodeId from, cube::NodeId to, const Message& m,
-                         std::span<const Key> lbs) = 0;
+                         std::span<const Key> lbs,
+                         std::optional<cube::MaskCover> cover) = 0;
   virtual void send_host(cube::NodeId from, const Message& m,
                          std::span<const Key> lbs) = 0;
   virtual void send_from_host(cube::NodeId to, const Message& m,

@@ -1,5 +1,7 @@
 #include "sort/fleet.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <optional>
@@ -304,13 +306,15 @@ SortRun run_tcp(const Job& job, const transport::JobConfig& cfg,
   const std::uint16_t parent_port = link.port();
   if (topts.node_binary.empty()) {
     const double setup_s = topts.run_deadline_s;
+    const pid_t host_pid = getpid();
     par.spawn_fork(
-        [&, setup_s](cube::NodeId p) {
+        [&, setup_s, host_pid](cube::NodeId p) {
+          link.close_listener();
           try {
             transport::TcpNodeEndpoint ep(
                 p, parent_addr, parent_port,
                 pins[p] ? pins[p]->addr : std::string("127.0.0.1"),
-                pins[p] ? pins[p]->port : std::uint16_t{0}, setup_s);
+                pins[p] ? pins[p]->port : std::uint16_t{0}, setup_s, host_pid);
             return run_node(ep, p, node, job.interceptor);
           } catch (const std::exception&) {
             return 1;  // setup failed before the endpoint could FINISH

@@ -297,7 +297,11 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
         }
         // Reply carries the whole pair (a, b) plus the *merged* collection.
         // The merge writes straight into the reply's pooled buffer — the
-        // per-iteration `merged` vector of the unpooled code is gone.
+        // per-iteration `merged` vector of the unpooled code is gone.  Each
+        // gossip send names the mask its receiver's Φ_C reads the window
+        // through (vect_mask here, pre_mask from the passive side), computed
+        // from the topology, so a remote link may leave every other cell out
+        // (sim/remote.h) whatever this node's lmask holds.
         sim::Message reply(ctx.pool());
         reply.kind = sim::MsgKind::kDataLbs;
         reply.stage = i;
@@ -307,14 +311,16 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
         ctx.charge(cm.cmp * static_cast<double>(2 * m));
         st.a.assign(reply.data.begin(),
                     reply.data.begin() + static_cast<std::ptrdiff_t>(m));
-        ctx.send(partner, std::move(reply), st.window_slice(window));
+        ctx.send(partner, std::move(reply), st.window_slice(window),
+                 cube::vect_cover(i, j, me));
       } else {
         sim::Message msg(ctx.pool());
         msg.kind = sim::MsgKind::kDataLbs;
         msg.stage = i;
         msg.iter = j;
         msg.data = st.a;
-        ctx.send(partner, std::move(msg), st.window_slice(window));
+        ctx.send(partner, std::move(msg), st.window_slice(window),
+                 cube::pre_cover(i, j, me));
         auto r = co_await ctx.recv(partner);
         if (!r.ok) {  // cannot proceed without the operand, silent or not
           st.flag({0, i, j, sim::ErrorSource::kTimeout, "no message from partner"});
@@ -423,13 +429,15 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
       reply.kind = sim::MsgKind::kLbsOnly;
       reply.stage = n;
       reply.iter = j;
-      ctx.send(partner, std::move(reply), st.window_slice(cube_window));
+      ctx.send(partner, std::move(reply), st.window_slice(cube_window),
+               cube::vect_cover(fi, j, me));
     } else {
       sim::Message msg(ctx.pool());
       msg.kind = sim::MsgKind::kLbsOnly;
       msg.stage = n;
       msg.iter = j;
-      ctx.send(partner, std::move(msg), st.window_slice(cube_window));
+      ctx.send(partner, std::move(msg), st.window_slice(cube_window),
+               cube::pre_cover(fi, j, me));
       auto r = co_await ctx.recv(partner);
       if (!r.ok) {
         st.flag({0, n, j, sim::ErrorSource::kTimeout, "no message from partner"});

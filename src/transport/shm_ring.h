@@ -22,19 +22,28 @@
 // which ShmTransport::pump passes on as sim::KeyBufs borrowed over the log —
 // the receiver reads the keys where the sender wrote them.
 //
-// On segment memory the producer calls prefault(len) before a multi-page
-// push.  A freshly forked or exec'd child starts with no page-table entries
-// for the segment, so without it the copy would trap once per 4 KiB page it
-// writes, even though a recycled segment's pages already sit in the page
-// cache.  MADV_POPULATE_READ over the record's page span maps them in a few
-// read faults instead: shmem's fault-around maps up to 16 cached pages per
-// fault, writable at once (shmem needs no dirty tracking), and the copy then
-// runs fault-free.  It is a hint: kernels before 5.14 reject it (EINVAL) and
-// the copy faults page by page as before, with the same bytes.  Fault-around
-// may also map up to 15 neighbouring pages beyond the record; they hold stale
-// bytes outside every published record, which no reader can reach.  Private
-// anonymous buffers must not be prefaulted: a read fault there maps the zero
-// page, and every later write would take a copy-on-write fault.
+// A record may hold holes.  A piece with no data (ShmPiece::hole) takes its
+// place in the record's layout, but try_push neither prefaults nor writes
+// it, and its bytes are unspecified: stale bytes of an earlier job in a
+// recycled segment, or zeroes.  ShmTransport leaves the cells of a lent LBS
+// window outside its receiver's cover as holes (sim/remote.h), and the
+// receiver never reads them; the record's length and layout are those of
+// the full record either way.
+//
+// On segment memory try_push prefaults a multi-page record's written spans
+// before it copies them.  A freshly forked or exec'd child starts with no
+// page-table entries for the segment, so without it the copy would trap
+// once per 4 KiB page it writes, even though a recycled segment's pages
+// already sit in the page cache.  MADV_POPULATE_READ over a span's pages
+// maps them in a few read faults instead: shmem's fault-around maps up to 16
+// cached pages per fault, writable at once (shmem needs no dirty tracking),
+// and the copy then runs fault-free.  It is a hint: kernels before 5.14
+// reject it (EINVAL) and the copy faults page by page as before, with the
+// same bytes.  Fault-around may also map up to 15 neighbouring pages beyond
+// a span; they hold holes or stale bytes outside every published record,
+// which no reader reads.  Private anonymous buffers are never prefaulted: a
+// read fault there maps the zero page, and every later write would take a
+// copy-on-write fault.
 //
 // Segment logs also leave the calling process's page tables once used
 // (MADV_DONTNEED), so a child's resident set stops counting every record
@@ -56,10 +65,11 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <initializer_list>
+#include <span>
 #include <stdexcept>
 
 #include <sys/mman.h>
@@ -79,10 +89,12 @@ static_assert(sizeof(ShmRingHdr) == 128, "cursor cache lines");
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
               "cross-process rings need address-free atomics");
 
-// One contiguous piece of a gathered record.
+// One contiguous piece of a gathered record, or a hole of `len` bytes that
+// the push lays out but leaves unwritten (see the file comment).
 struct ShmPiece {
   const void* data;
   std::uint64_t len;
+  static ShmPiece hole(std::uint64_t len) { return {nullptr, len}; }
 };
 
 // Non-owning view over a (header, buffer) pair living in a shared segment,
@@ -115,42 +127,28 @@ class ShmRing {
            hdr_->tail.load(std::memory_order_acquire);
   }
 
-  // Producer side: write `pieces` back to back as one record.  False, with
-  // the log untouched, when the record would cross the buffer's end (or
-  // exceeds the u32 length field).
-  bool try_push(std::initializer_list<ShmPiece> pieces) {
+  // Producer side: lay `pieces` down back to back as one record, writing
+  // every piece but the holes.  False, with the log untouched, when the
+  // record would cross the buffer's end (or exceeds the u32 length field).
+  bool try_push(std::span<const ShmPiece> pieces) {
     std::uint64_t len = 0;
     for (const ShmPiece& p : pieces) len += p.len;
     if (len > UINT32_MAX) return false;
     const std::uint64_t need = footprint(len);
     const std::uint64_t tail = hdr_->tail.load(std::memory_order_relaxed);
     if (need > cap_ - tail) return false;
+    unsigned char* const rec = buf_ + tail;
+    if (shared_ && need > page_bytes()) prefault(rec, pieces);
     const auto len32 = static_cast<std::uint32_t>(len);
-    std::memcpy(buf_ + tail, &len32, sizeof len32);
-    unsigned char* at = buf_ + tail + kPrefix;
+    std::memcpy(rec, &len32, sizeof len32);
+    unsigned char* at = rec + kPrefix;
     for (const ShmPiece& p : pieces) {
-      if (p.len > 0) std::memcpy(at, p.data, p.len);
+      if (p.data != nullptr && p.len > 0) std::memcpy(at, p.data, p.len);
       at += p.len;
     }
     hdr_->tail.store(tail + need, std::memory_order_release);
-    if (shared_) drop(buf_ + tail, need, /*min_bytes=*/2 * page_bytes());
+    if (shared_) drop(rec, need, /*min_bytes=*/2 * page_bytes());
     return true;
-  }
-
-  // Producer side, segment memory only (see the file comment): map the
-  // pages the next record of `len` payload bytes will occupy.  A record
-  // that fits in one page, or that the log would refuse, skips the syscall;
-  // failure is ignored.
-  void prefault(std::uint64_t len) const {
-    const std::uint64_t page = page_bytes();
-    const std::uint64_t need = footprint(len);
-    const std::uint64_t tail = hdr_->tail.load(std::memory_order_relaxed);
-    if (need <= page || need > cap_ - tail) return;
-    const auto lo = reinterpret_cast<std::uintptr_t>(buf_ + tail) & ~(page - 1);
-    const auto hi =
-        (reinterpret_cast<std::uintptr_t>(buf_ + tail + need) + page - 1) &
-        ~(page - 1);
-    (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_POPULATE_READ);
   }
 
   // The record try_pop hands its consumer: a read cursor over the payload,
@@ -220,6 +218,34 @@ class ShmRing {
   static std::uint64_t page_bytes() {
     static const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
     return page;
+  }
+
+  // MADV_POPULATE_READ over the pages that the record at `rec` writes: its
+  // length prefix and every piece but the holes, one call per run of
+  // adjacent pages.  Failure is ignored (see the file comment).
+  static void prefault(unsigned char* rec, std::span<const ShmPiece> pieces) {
+    const std::uint64_t page = page_bytes();
+    const auto populate = [](std::uintptr_t lo, std::uintptr_t hi) {
+      if (hi > lo)
+        (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_POPULATE_READ);
+    };
+    auto at = reinterpret_cast<std::uintptr_t>(rec);
+    std::uintptr_t lo = at & ~(page - 1), hi = lo;  // pages not yet populated
+    const auto add = [&](std::uintptr_t from, std::uintptr_t to) {
+      const std::uintptr_t first = from & ~(page - 1);
+      if (first > hi) {
+        populate(lo, hi);
+        lo = first;
+      }
+      hi = std::max(hi, (to + page - 1) & ~(page - 1));
+    };
+    add(at, at + kPrefix);
+    at += kPrefix;
+    for (const ShmPiece& p : pieces) {
+      if (p.data != nullptr && p.len > 0) add(at, at + p.len);
+      at += p.len;
+    }
+    populate(lo, hi);
   }
 
   // MADV_DONTNEED over the whole pages inside [p, p + n) when n is at least

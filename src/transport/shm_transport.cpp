@@ -33,6 +33,29 @@ void decode_record(ShmRing::Record& rec, sim::KeyPool& pool,
       sim::KeyBuf::borrow(pool, reinterpret_cast<const sim::Key*>(lbs), h.nlbs);
 }
 
+// Append `lbs` to `out` as the cells `cover` names, the cells between them
+// as holes.  `lbs` is the sender's SC_{hi+1} window (sim/remote.h): 2^(hi+1)
+// cells, of which every 2^lo-th is covered, from the sender's own offset
+// below bit lo.  A span that is not such a window goes whole.
+void append_covered(std::span<const sim::Key> lbs, const cube::MaskCover& c,
+                    std::vector<ShmPiece>& out) {
+  const std::size_t cells = std::size_t{1} << (c.hi + 1);
+  const std::size_t stride = std::size_t{1} << c.lo;
+  if (stride == 1 || lbs.empty() || lbs.size() % cells != 0) {
+    out.push_back({lbs.data(), lbs.size() * sizeof(sim::Key)});
+    return;
+  }
+  const std::size_t m = lbs.size() / cells;
+  constexpr std::size_t kKey = sizeof(sim::Key);
+  std::size_t at = 0;  // keys laid out so far
+  for (std::size_t cell = c.node & (stride - 1); cell < cells; cell += stride) {
+    if (cell * m > at) out.push_back(ShmPiece::hole((cell * m - at) * kKey));
+    out.push_back({lbs.data() + cell * m, m * kKey});
+    at = (cell + 1) * m;
+  }
+  if (lbs.size() > at) out.push_back(ShmPiece::hole((lbs.size() - at) * kKey));
+}
+
 }  // namespace
 
 ShmTransport::ShmTransport(ShmSegment& seg, std::int32_t role)
@@ -42,23 +65,25 @@ ShmTransport::ShmTransport(ShmSegment& seg, std::int32_t role)
                                   : static_cast<std::size_t>(seg.dim()) + 1) {}
 
 void ShmTransport::push_ring(ShmRing ring, const sim::Message& m,
-                             std::span<const sim::Key> lbs) {
+                             std::span<const sim::Key> lbs,
+                             const std::optional<cube::MaskCover>& cover) {
   const WireMsgHdr h = wire_header(m, lbs);
-  const std::uint64_t data_bytes = m.data.size() * sizeof(sim::Key);
-  const std::uint64_t lbs_bytes = lbs.size() * sizeof(sim::Key);
-  ring.prefault(sizeof h + data_bytes + lbs_bytes);
+  pieces_.assign({{&h, sizeof h},
+                  {m.data.data(), m.data.size() * sizeof(sim::Key)}});
+  if (cover)
+    append_covered(lbs, *cover, pieces_);
+  else
+    pieces_.push_back({lbs.data(), lbs.size() * sizeof(sim::Key)});
   // Sized for the whole run, so a full log is a bug, not backpressure:
   // absorb the message like a dead peer and count it for the collect path.
-  if (!ring.try_push({{&h, sizeof h},
-                      {m.data.data(), data_bytes},
-                      {lbs.data(), lbs_bytes}}))
-    ++send_overflow_;
+  if (!ring.try_push(pieces_)) ++send_overflow_;
 }
 
 void ShmTransport::send_node(cube::NodeId from, cube::NodeId to,
                              const sim::Message& m,
-                             std::span<const sim::Key> lbs) {
-  push_ring(seg_.link_ring(to, std::countr_zero(from ^ to)), m, lbs);
+                             std::span<const sim::Key> lbs,
+                             std::optional<cube::MaskCover> cover) {
+  push_ring(seg_.link_ring(to, std::countr_zero(from ^ to)), m, lbs, cover);
 }
 
 void ShmTransport::send_host(cube::NodeId from, const sim::Message& m,

@@ -3,9 +3,11 @@
 // Each OS process owns one endpoint — node p (role == p) or the host (role
 // == kHostRole) — and a ShmTransport wired to the shared segment.  Sends
 // gather the wire header and both key arrays straight into the
-// destination's inbound log; pump hands every new record of every log that
-// feeds the local endpoint to the machine in place, its key arrays as
-// KeyBufs borrowed over the log — one copy in, none out (shm_ring.h).
+// destination's inbound log, leaving the cells of a lent LBS window that
+// its receiver does not read as holes (sim/remote.h); pump hands every new
+// record of every log that feeds the local endpoint to the machine in
+// place, its key arrays as KeyBufs borrowed over the log — one copy in,
+// none out (shm_ring.h).
 // Consumers that mutate a received buffer call KeyBuf::own() first.
 // wait_activity implements message-absence
 // detection (Environmental Assumption 4) on real time: a blocked node
@@ -19,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "sim/remote.h"
@@ -35,8 +38,11 @@ class ShmTransport final : public sim::RemoteLink {
   // children and enforce the run deadline while its collector is blocked.
   void set_host_poll(std::function<void()> poll) { host_poll_ = std::move(poll); }
 
+  // Cells of a lent window outside `cover` become holes in the record
+  // (shm_ring.h): the receiver never reads them (sim/remote.h).
   void send_node(cube::NodeId from, cube::NodeId to, const sim::Message& m,
-                 std::span<const sim::Key> lbs) override;
+                 std::span<const sim::Key> lbs,
+                 std::optional<cube::MaskCover> cover) override;
   void send_host(cube::NodeId from, const sim::Message& m,
                  std::span<const sim::Key> lbs) override;
   void send_from_host(cube::NodeId to, const sim::Message& m,
@@ -52,12 +58,14 @@ class ShmTransport final : public sim::RemoteLink {
 
  private:
   void push_ring(ShmRing ring, const sim::Message& m,
-                 std::span<const sim::Key> lbs);
+                 std::span<const sim::Key> lbs,
+                 const std::optional<cube::MaskCover>& cover = std::nullopt);
 
   ShmSegment& seg_;
   std::int32_t role_;
   std::function<void()> host_poll_;
   std::uint32_t send_overflow_ = 0;
+  std::vector<ShmPiece> pieces_;  // push_ring's gather list, reused
   // Per inbound log (up logs by node on the host; link logs by dimension,
   // then the down log, on a node): where this process's unmapping of
   // consumed pages has reached (ShmRing::unmap_consumed).

@@ -213,7 +213,9 @@ std::size_t TcpConn::read_some() {
 // ---- TcpListener ------------------------------------------------------------
 
 TcpListener::TcpListener(const std::string& addr, std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Close-on-exec: an exec'd node must not hold the host's listener open
+  // (TcpHostEndpoint::close_listener).
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd_ < 0) die("socket");
   int one = 1;
   setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -260,7 +262,7 @@ std::optional<TcpConn> TcpListener::accept_one() {
 }
 
 TcpConn tcp_dial(const std::string& addr, std::uint16_t port,
-                 double timeout_s) {
+                 double timeout_s, const std::function<bool()>& abandon) {
   const sockaddr_in sa = make_addr(addr, port);
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -278,6 +280,9 @@ TcpConn tcp_dial(const std::string& addr, std::uint16_t port,
     if (Clock::now() >= deadline)
       throw std::runtime_error("tcp: connect to " + addr + ":" +
                                std::to_string(port) + " timed out");
+    if (abandon && abandon())
+      throw std::runtime_error("tcp: connect to " + addr + ":" +
+                               std::to_string(port) + " abandoned");
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
@@ -318,10 +323,12 @@ TcpNodeEndpoint::TcpNodeEndpoint(cube::NodeId node,
                                  std::uint16_t parent_port,
                                  const std::string& listen_addr,
                                  std::uint16_t listen_port,
-                                 double setup_timeout_s)
+                                 double setup_timeout_s, pid_t host_pid)
     : me_(node),
+      host_pid_(host_pid),
       listener_(listen_addr, listen_port),
-      parent_(tcp_dial(parent_addr, parent_port, setup_timeout_s)),
+      parent_(tcp_dial(parent_addr, parent_port, setup_timeout_s,
+                       [this] { return orphaned(); })),
       watch_(0, 0.0) {
   scratch_.reserve(4096);
 
@@ -346,7 +353,7 @@ TcpNodeEndpoint::TcpNodeEndpoint(cube::NodeId node,
       }
       continue;  // stray heartbeat
     }
-    if (parent_.reader().malformed() || parent_.eof())
+    if (parent_.reader().malformed() || parent_gone())
       throw std::runtime_error("tcp: parent stream ended before CONFIG");
     if (Clock::now() >= deadline)
       throw std::runtime_error("tcp: CONFIG wait timed out");
@@ -385,14 +392,19 @@ TcpConn& TcpNodeEndpoint::neighbor(cube::NodeId q) {
 
 void TcpNodeEndpoint::connect_peers() {
   const auto now = Clock::now();
+  // Every wait below also reads the host link, so a dead host ends the mesh.
+  const auto host_gone = [this] {
+    parent_.read_some();
+    return parent_gone();
+  };
   int expect_accept = 0;
   for (int k = 0; k < dim_; ++k) {
     const cube::NodeId q = me_ ^ (cube::NodeId{1} << k);
     if (q < me_) {
       // Every node listens before it HELLOs and CONFIG follows the last
       // HELLO, so the lower neighbor is already accepting.
-      peers_[static_cast<std::size_t>(k)] =
-          tcp_dial(port_map_[q].addr, port_map_[q].port, cfg_.recv_timeout_s);
+      peers_[static_cast<std::size_t>(k)] = tcp_dial(
+          port_map_[q].addr, port_map_[q].port, cfg_.recv_timeout_s, host_gone);
       peers_[static_cast<std::size_t>(k)].queue_frame(
           FrameType::kHello, as_bytes_of(hello_of(me_)));
     } else {
@@ -408,6 +420,8 @@ void TcpNodeEndpoint::connect_peers() {
   while (expect_accept > 0) {
     if (Clock::now() >= deadline)
       throw std::runtime_error("tcp: peer mesh accept timed out");
+    if (host_gone())
+      throw std::runtime_error("tcp: parent stream ended during the mesh");
     accept_hellos(listener_, anon, "peer",
                   [&](const WireHello& hello, TcpConn& c) {
       const auto q = static_cast<cube::NodeId>(hello.role);
@@ -418,6 +432,7 @@ void TcpNodeEndpoint::connect_peers() {
     });
     if (expect_accept == 0) break;
     pfds.assign({{listener_.fd(), POLLIN, 0}});
+    add_conn_fds(pfds, {&parent_, 1}, true);
     add_conn_fds(pfds, anon, true);
     poll_until(pfds, deadline);
   }
@@ -434,10 +449,11 @@ void TcpNodeEndpoint::connect_peers() {
   }
 }
 
-void TcpNodeEndpoint::send_node(cube::NodeId from, cube::NodeId to,
+// Frames carry the whole window, cover or not: a tcp frame has no holes.
+void TcpNodeEndpoint::send_node(cube::NodeId, cube::NodeId to,
                                 const sim::Message& m,
-                                std::span<const sim::Key> lbs) {
-  (void)from;
+                                std::span<const sim::Key> lbs,
+                                std::optional<cube::MaskCover>) {
   encode_message(m, lbs, scratch_);
   neighbor(to).queue_frame(FrameType::kData, scratch_);
 }
@@ -525,7 +541,7 @@ bool TcpNodeEndpoint::wait_activity(std::span<const cube::NodeId> peers) {
 
   // An orphaned node can never receive again: its host (and the cube around
   // it) is gone.  Mirrors the shm getppid() check.
-  if (parent_.eof()) return false;
+  if (parent_gone()) return false;
 
   if (!peers.empty()) {
     bool all_down = true;
@@ -775,8 +791,8 @@ void TcpHostEndpoint::await_all() {
 }
 
 void TcpHostEndpoint::send_node(cube::NodeId, cube::NodeId,
-                                const sim::Message&,
-                                std::span<const sim::Key>) {
+                                const sim::Message&, std::span<const sim::Key>,
+                                std::optional<cube::MaskCover>) {
   throw std::logic_error("tcp: host endpoint cannot send node-to-node");
 }
 

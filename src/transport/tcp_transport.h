@@ -21,6 +21,8 @@
 
 #pragma once
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -110,10 +112,11 @@ class TcpListener {
 };
 
 // Blocking connect with retry until `timeout_s` (the target may not be
-// listening yet).  Returns a nonblocking TCP_NODELAY connection; throws
-// std::runtime_error on timeout.
+// listening yet), or until `abandon`, asked before each retry, returns
+// true.  Returns a nonblocking TCP_NODELAY connection; throws
+// std::runtime_error on timeout or abandonment.
 TcpConn tcp_dial(const std::string& addr, std::uint16_t port,
-                 double timeout_s);
+                 double timeout_s, const std::function<bool()>& abandon = {});
 
 // ---- hosts file -------------------------------------------------------------
 
@@ -149,10 +152,13 @@ class TcpNodeEndpoint final : public sim::RemoteLink {
   // Dials the parent, HELLOs, and blocks until the CONFIG broadcast arrives
   // (bounded by setup_timeout_s).  After construction config()/faults()/
   // input()/llbs()/port_map() are valid.  Throws std::runtime_error on any
-  // setup failure.
+  // setup failure.  A node the host forked passes the host's pid: the node
+  // then also takes the host for gone once it is no longer its parent, as
+  // shm nodes do, which covers the dial before the host link exists.
   TcpNodeEndpoint(cube::NodeId node, const std::string& parent_addr,
                   std::uint16_t parent_port, const std::string& listen_addr,
-                  std::uint16_t listen_port, double setup_timeout_s);
+                  std::uint16_t listen_port, double setup_timeout_s,
+                  pid_t host_pid = 0);
   ~TcpNodeEndpoint() override;
 
   const TcpConfigHead& config() const { return cfg_; }
@@ -174,7 +180,8 @@ class TcpNodeEndpoint final : public sim::RemoteLink {
 
   // sim::RemoteLink
   void send_node(cube::NodeId from, cube::NodeId to, const sim::Message& m,
-                 std::span<const sim::Key> lbs) override;
+                 std::span<const sim::Key> lbs,
+                 std::optional<cube::MaskCover> cover) override;
   void send_host(cube::NodeId from, const sim::Message& m,
                  std::span<const sim::Key> lbs) override;
   void send_from_host(cube::NodeId to, const sim::Message& m,
@@ -194,7 +201,16 @@ class TcpNodeEndpoint final : public sim::RemoteLink {
   // frame arrived.
   bool service();
 
+  // The host is gone: this forked node has a new parent, or the host link
+  // ended (read to its EOF, or broken by a failed write).  Every setup wait
+  // and wait_activity give up on it, so a killed host's nodes exit at once.
+  bool orphaned() const { return host_pid_ != 0 && getppid() != host_pid_; }
+  bool parent_gone() const {
+    return orphaned() || parent_.eof() || !parent_.open();
+  }
+
   cube::NodeId me_;
+  pid_t host_pid_;  // 0 unless the host forked this node
   int dim_ = 0;
   TcpConfigHead cfg_{};
   std::vector<WireFault> faults_;
@@ -220,6 +236,13 @@ class TcpHostEndpoint final : public sim::RemoteLink {
 
   std::uint16_t port() const { return listener_.port(); }
   const std::string& addr() const { return addr_; }
+
+  // In a node forked after this endpoint was built: close the child's copy
+  // of the listening socket.  While any copy is open, a node's connection
+  // still in the accept backlog outlives a killed host, so the node sees no
+  // EOF and waits out its whole CONFIG deadline.  (Exec'd nodes never hold
+  // one: the socket is close-on-exec.)
+  void close_listener() { listener_.close_fd(); }
 
   // Invoked on every wait iteration so the parent process manager can reap
   // zombies and enforce the run deadline (mirrors ShmTransport's hook).
@@ -263,7 +286,8 @@ class TcpHostEndpoint final : public sim::RemoteLink {
 
   // sim::RemoteLink
   void send_node(cube::NodeId from, cube::NodeId to, const sim::Message& m,
-                 std::span<const sim::Key> lbs) override;
+                 std::span<const sim::Key> lbs,
+                 std::optional<cube::MaskCover> cover) override;
   void send_host(cube::NodeId from, const sim::Message& m,
                  std::span<const sim::Key> lbs) override;
   void send_from_host(cube::NodeId to, const sim::Message& m,

@@ -33,6 +33,33 @@ TEST(MasksTest, RecursiveMatchesClosedFormEverywhere) {
   }
 }
 
+// The labels a MaskCover names, straight from its definition: those that
+// differ from `node` in bits lo..hi only.
+BitVec cover_mask(const Topology& t, const MaskCover& c) {
+  const NodeId free =
+      c.lo > c.hi ? 0 : (NodeId{2} << c.hi) - (NodeId{1} << c.lo);
+  BitVec m(t.num_nodes());
+  for (NodeId l = 0; l < t.num_nodes(); ++l)
+    if (((l ^ c.node) & ~free) == 0) m.set(l);
+  return m;
+}
+
+// The closed-form covers the gossip sends pass to their link (sort/sft.cpp)
+// name exactly the cells the receiver's vect_mask / pre_mask will read.
+TEST(MasksTest, CoversMatchTheMasksEverywhere) {
+  for (int dim = 1; dim <= 6; ++dim) {
+    Topology t(dim);
+    for (NodeId p = 0; p < t.num_nodes(); ++p)
+      for (int i = 0; i < dim; ++i)
+        for (int j = 0; j <= i; ++j) {
+          EXPECT_EQ(cover_mask(t, vect_cover(i, j, p)), vect_mask(t, i, j, p))
+              << "dim=" << dim << " p=" << p << " i=" << i << " j=" << j;
+          EXPECT_EQ(cover_mask(t, pre_cover(i, j, p)), pre_mask(t, i, j, p))
+              << "dim=" << dim << " p=" << p << " i=" << i << " j=" << j;
+        }
+  }
+}
+
 TEST(MasksTest, CountsMatchLemma) {
   Topology t(6);
   for (int i = 0; i < 6; ++i)

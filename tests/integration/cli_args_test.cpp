@@ -4,8 +4,9 @@
 // (--transport/--kill/--node-bin/--emit-run) enforces its documented
 // constraints.  Also proves the --emit-run cross-check contract at the CLI
 // level: the same fault script on sim and shm emits records that agree in
-// everything but the transport label, and that a fleet which cannot spawn
-// fails loudly without orphaning its children.
+// everything but the transport label, that a fleet which cannot spawn
+// fails loudly without orphaning its children, and that a killed tcp host's
+// nodes do not outlive it.
 
 #include <fcntl.h>
 #include <sys/prctl.h>
@@ -18,8 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.h"
@@ -112,6 +115,38 @@ TEST(CliArgs, SpawnFailureLeavesNoChildBehind) {
     EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1)
         << transport << ": a node outlived the CLI";
     EXPECT_EQ(errno, ECHILD) << transport;
+    kill(-cli, SIGKILL);
+    while (waitpid(-1, nullptr, 0) > 0) {
+    }
+  }
+  prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0);
+}
+
+// A tcp fleet whose CLI is SIGKILLed leaves no node behind for long: a
+// node takes its host for gone, in every setup wait and in wait_activity,
+// once its host link ends or (forked) its parent changes, rather than
+// waiting out the 120 s CONFIG deadline or the 15 s receive timeout.  The
+// delays catch nodes dialing or waiting for CONFIG, then mid-sort.
+TEST(CliArgs, KilledTcpHostLeavesNoNodeBehind) {
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0), 0);
+  for (int delay_ms : {30, 300, 1000}) {
+    const pid_t cli = spawn_cli(
+        {"--dim=6", "--block=4096", "--transport=tcp", "--quiet"});
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    kill(cli, SIGKILL);
+    wait_cli(cli);  // killed, or (a fast host, the last delay) finished
+    // Every node the CLI orphaned is reparented here; reap them as they go.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    bool gone = false;
+    while (!gone && std::chrono::steady_clock::now() < deadline) {
+      const pid_t r = waitpid(-1, nullptr, WNOHANG);
+      gone = r == -1 && errno == ECHILD;
+      if (r == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_TRUE(gone) << "a node outlived the CLI killed after " << delay_ms
+                      << " ms by 5 s";
     kill(-cli, SIGKILL);
     while (waitpid(-1, nullptr, 0) > 0) {
     }

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+
 #include "hypercube/masks.h"
 #include "hypercube/subcube.h"
 #include "sim/machine.h"
@@ -196,6 +200,146 @@ TEST(TrafficMaskTest, ErrorReportsAppearInTheLinkEventLog) {
   // Every fail-stop report travelled the host link and was recorded.
   EXPECT_EQ(error_msgs, run.errors.size());
   EXPECT_GE(error_msgs, 1u);
+}
+
+
+// The cover contract of lent gossip windows (sim/remote.h): a shm link may
+// leave every LBS cell outside the sender's protocol mask — pre_mask from
+// the passive partner, vect_mask on the active partner's reply — as a hole
+// with unspecified bytes.  On the oracle, overwrite exactly those cells
+// with a sentinel in every gossip message: if no receiver ever reads them,
+// the run is the identity interceptor's run, bit for bit, with or without
+// processor faults (including a silent checker, whose lmask stops growing
+// at the violation it swallows while its sends keep the protocol mask).
+// A receiver that reads one cell more reads a stale value of an earlier
+// stage there.  Where that breaks the fault-free run on its own, the
+// correctness check below shows it; where it does not, the sentinel does.
+struct HoleFiller final : sim::LinkInterceptor {
+  static constexpr Key kSentinel = std::numeric_limits<Key>::min() + 12345;
+  cube::Topology topo;
+  std::size_t m;
+  bool fill;
+  std::size_t filled = 0;  // cells overwritten
+
+  HoleFiller(int dim, std::size_t block, bool fill_holes)
+      : topo(dim), m(block), fill(fill_holes) {}
+
+  bool on_send(cube::NodeId from, cube::NodeId, sim::Message& msg) override {
+    if (!fill || (msg.kind != sim::MsgKind::kDataLbs &&
+                  msg.kind != sim::MsgKind::kLbsOnly))
+      return true;
+    const int i = std::min(msg.stage, topo.dimension() - 1);
+    const int j = msg.iter;
+    const util::BitVec read = cube::node_bit(from, j)
+                                  ? cube::pre_mask(topo, i, j, from)
+                                  : cube::vect_mask(topo, i, j, from);
+    const cube::Subcube window = cube::home_subcube(i + 1, from);
+    EXPECT_EQ(msg.lbs.size(), static_cast<std::size_t>(window.size()) * m);
+    if (msg.lbs.size() != static_cast<std::size_t>(window.size()) * m)
+      return true;
+    for (cube::NodeId p = window.start; p <= window.end; ++p) {
+      if (read.test(p)) continue;
+      const auto off = static_cast<std::ptrdiff_t>((p - window.start) * m);
+      std::fill(msg.lbs.begin() + off,
+                msg.lbs.begin() + off + static_cast<std::ptrdiff_t>(m),
+                kSentinel);
+      ++filled;
+    }
+    return true;
+  }
+};
+
+void expect_same_run(const SortRun& a, const SortRun& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.output, b.output) << what;
+  ASSERT_EQ(a.errors.size(), b.errors.size()) << what;
+  for (std::size_t k = 0; k < a.errors.size(); ++k) {
+    const auto& x = a.errors[k];
+    const auto& y = b.errors[k];
+    EXPECT_TRUE(x.node == y.node && x.stage == y.stage && x.iter == y.iter &&
+                x.source == y.source && x.detail == y.detail)
+        << what << ": error " << k << " differs";
+  }
+  EXPECT_EQ(a.deaths, b.deaths) << what;
+  ASSERT_EQ(a.link_events.size(), b.link_events.size()) << what;
+  for (std::size_t k = 0; k < a.link_events.size(); ++k) {
+    const auto& x = a.link_events[k];
+    const auto& y = b.link_events[k];
+    EXPECT_TRUE(x.from == y.from && x.to == y.to && x.kind == y.kind &&
+                x.stage == y.stage && x.iter == y.iter && x.words == y.words &&
+                x.delivered == y.delivered && x.to_host == y.to_host &&
+                x.from_host == y.from_host)
+        << what << ": link event " << k << " differs";
+  }
+  ASSERT_EQ(a.checkpoints.size(), b.checkpoints.size()) << what;
+  for (std::size_t k = 0; k < a.checkpoints.size(); ++k) {
+    const auto& x = a.checkpoints[k];
+    const auto& y = b.checkpoints[k];
+    EXPECT_TRUE(x.stage == y.stage && x.state == y.state &&
+                x.windows_agreed == y.windows_agreed &&
+                x.windows_total == y.windows_total &&
+                x.certified == y.certified)
+        << what << ": checkpoint " << k << " differs";
+  }
+}
+
+TEST(TrafficMaskTest, ReceiversNeverReadCellsOutsideTheSendersCover) {
+  struct Script {
+    const char* name;
+    std::function<void(fault::NodeFaultMap&, int dim)> arm;
+  };
+  const std::vector<Script> scripts = {
+      {"fault-free", [](fault::NodeFaultMap&, int) {}},
+      {"halt",
+       [](fault::NodeFaultMap& f, int dim) {
+         f[1].halt_at = fault::StagePoint{dim - 1, 0};
+       }},
+      {"invert",
+       [](fault::NodeFaultMap& f, int dim) {
+         f[dim > 1 ? 2 : 1].invert_direction_from =
+             fault::StagePoint{dim - 1, dim - 1};
+       }},
+      {"substitute-value",
+       [](fault::NodeFaultMap& f, int dim) {
+         f[dim > 1 ? 3 : 1].substitute_at = fault::StagePoint{dim - 1, 0};
+         f[dim > 1 ? 3 : 1].substitute_value = 424242;
+       }},
+      {"silent-checker",
+       [](fault::NodeFaultMap& f, int dim) {
+         // The liar's partner across dimension 0 swallows what it sees.
+         f[0].silent_checker = true;
+         f[1].invert_direction_from = fault::StagePoint{dim - 1, dim - 1};
+       }},
+  };
+  std::size_t filled = 0, fail_stops = 0;
+  for (int dim = 1; dim <= 5; ++dim)
+    for (std::size_t block : {std::size_t{1}, std::size_t{2}, std::size_t{64}})
+      for (const Script& s : scripts) {
+        const std::string what = "dim=" + std::to_string(dim) +
+                                 " block=" + std::to_string(block) + " " +
+                                 s.name;
+        const auto input = util::random_keys(
+            static_cast<std::uint64_t>(dim * 1000 + block),
+            (std::size_t{1} << dim) * block);
+        SortRun runs[2];
+        for (int k = 0; k < 2; ++k) {
+          HoleFiller filler(dim, block, /*fill_holes=*/k == 1);
+          SftOptions opts;
+          opts.block = block;
+          opts.checkpoint = true;
+          opts.record_link_events = true;
+          opts.interceptor = &filler;
+          s.arm(opts.node_faults, dim);
+          runs[k] = run_sft(dim, input, opts);
+          filled += filler.filled;
+        }
+        expect_same_run(runs[0], runs[1], what);
+        if (s.name == std::string("fault-free"))
+          EXPECT_EQ(classify(runs[0], input), Outcome::kCorrect) << what;
+        fail_stops += runs[0].fail_stop() ? 1 : 0;
+      }
+  EXPECT_GT(filled, 0u) << "the filler must have had holes to fill";
+  EXPECT_GT(fail_stops, 0u) << "the fault scripts must reach the checks";
 }
 
 }  // namespace

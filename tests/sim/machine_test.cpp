@@ -60,7 +60,8 @@ TEST(MachineTest, FailedRerunLeavesResultsReadable) {
 class SilentLink final : public RemoteLink {
  public:
   void send_node(cube::NodeId, cube::NodeId, const Message&,
-                 std::span<const Key>) override {}
+                 std::span<const Key>,
+                 std::optional<cube::MaskCover>) override {}
   void send_host(cube::NodeId, const Message&, std::span<const Key>) override {}
   void send_from_host(cube::NodeId, const Message&,
                       std::span<const Key>) override {}

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <filesystem>
 #include <functional>
@@ -135,13 +136,13 @@ TEST(ShmOverflow, FullLinkRingDropsAndCountsTheSend) {
   big.kind = sim::MsgKind::kDataLbs;
   big.from = 0;
   big.data.assign(seg.header().link_ring_bytes / sizeof(Key), 7);
-  sender.send_node(0, 1, big, big.lbs);
+  sender.send_node(0, 1, big, big.lbs, std::nullopt);
   EXPECT_EQ(sender.send_overflow(), 1u);
 
   sim::Message small(pool);
   small.from = 0;
   small.data.assign({1, 2, 3});
-  sender.send_node(0, 1, small, small.lbs);
+  sender.send_node(0, 1, small, small.lbs, std::nullopt);
   EXPECT_EQ(sender.send_overflow(), 1u);
 
   std::vector<std::size_t> got;
@@ -225,7 +226,8 @@ TEST(ShmRecycle, RetiredSegmentIsReusedFullyReinitialized) {
     std::fill(seg.llbs().begin(), seg.llbs().end(), 12);
     std::fill(seg.output().begin(), seg.output().end(), 13);
     const Key probe = 5;
-    ASSERT_TRUE(seg.link_ring(3, 1).try_push({{&probe, sizeof probe}}));
+    ASSERT_TRUE(seg.link_ring(3, 1).try_push(
+        std::array{transport::ShmPiece{&probe, sizeof probe}}));
   }
   auto seg = transport::ShmSegment::create(cfg);
   EXPECT_EQ(seg.name(), name) << "same size: the spare is reused";

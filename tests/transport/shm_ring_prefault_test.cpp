@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdint>
 #include <string>
@@ -60,12 +61,13 @@ std::vector<unsigned char> pattern(std::uint64_t len, unsigned seed) {
   return v;
 }
 
-// What ShmTransport::push_ring does: prefault, then gather the pieces.
+// A record gathered from two pieces, as ShmTransport::push_ring gathers its
+// header and key arrays; the push prefaults segment memory itself.
 bool push(ShmRing ring, const std::vector<unsigned char>& rec) {
   const std::uint64_t half = rec.size() / 2;
-  ring.prefault(rec.size());
-  return ring.try_push(
-      {{rec.data(), half}, {rec.data() + half, rec.size() - half}});
+  return ring.try_push(std::array{
+      ShmPiece{rec.data(), half},
+      ShmPiece{rec.data() + half, rec.size() - half}});
 }
 
 std::vector<unsigned char> pop(ShmRing ring) {
@@ -187,7 +189,7 @@ TEST(ShmRingPrefault, ForkedChildPushesAMegabyteWithoutAFaultPerPage) {
     close(fds[0]);
     ShmTransport sender(seg, 0);
     const long before = minor_faults();
-    sender.send_node(0, 1, msg, msg.lbs);
+    sender.send_node(0, 1, msg, msg.lbs, std::nullopt);
     const long faults = minor_faults() - before;
     const bool ok = sender.send_overflow() == 0 &&
                     write(fds[1], &faults, sizeof faults) == sizeof faults;

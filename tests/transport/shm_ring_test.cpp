@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -22,7 +24,7 @@ bool pop_bytes(ShmRing& ring, std::vector<unsigned char>& out) {
 }
 
 bool push_bytes(ShmRing& ring, const void* data, std::uint64_t len) {
-  return ring.try_push({{data, len}});
+  return ring.try_push(std::array{ShmPiece{data, len}});
 }
 
 struct RingFixture : ::testing::Test {
@@ -131,9 +133,9 @@ TEST_F(RingFixture, GatherRecordArrivesInPlaceAtEveryAlignedStart) {
   for (std::uint64_t start = 0; start + ShmRing::footprint(len) <= kCap;
        start += 8, ++starts) {
     seek(start);
-    ASSERT_TRUE(ring.try_push({{head, sizeof head},
-                               {data.data(), data_bytes},
-                               {lbs.data(), lbs_bytes}}));
+    ASSERT_TRUE(ring.try_push(std::array{ShmPiece{head, sizeof head},
+                                          ShmPiece{data.data(), data_bytes},
+                                          ShmPiece{lbs.data(), lbs_bytes}}));
     const auto in_place = [&](const unsigned char* p, std::uint64_t n) {
       return p == buf.data() + start + ShmRing::kPrefix + n;
     };
@@ -199,7 +201,8 @@ TEST(ShmRingStress, SpscThreadsSeeEveryRecordInOrder) {
       const std::uint32_t len = body_len(v);
       for (std::uint32_t i = 0; i < len; ++i)
         body[i] = static_cast<unsigned char>(v + i);
-      if (!producer.try_push({{&v, sizeof v}, {body, len}})) {
+      if (!producer.try_push(
+              std::array{ShmPiece{&v, sizeof v}, ShmPiece{body, len}})) {
         refused = true;
         return;
       }
