@@ -283,7 +283,7 @@ bool same_fn(const sort::kernels::KernelTable& t,
     case 1: return t.mismatch == s.mismatch;
     case 2: return t.phi_f_scan == s.phi_f_scan;
     case 3: return t.merge == s.merge;
-    default: return t.includes == s.includes;
+    default: return t.pair_check == s.pair_check;
   }
 }
 
@@ -312,7 +312,7 @@ struct SweepFixture {
     super.resize(2 * n);
     std::merge(merge_a.begin(), merge_a.end(), merge_b.begin(), merge_b.end(),
                super.begin());
-    asc = merge_a;  // includes: asc is a sub-multiset of super by construction
+    asc = merge_a;  // pair_check: asc is a sub-multiset of super by construction
     asc_copy = asc;
     // Φ_F instance: split asc into a random half-half partition — lower run =
     // the picked keys ascending, upper run = the rest descending.  Any such
@@ -358,13 +358,13 @@ double time_kernel(const sort::kernels::KernelTable& t, int which,
     case 3:
       return time_ns_per_call([&] {
         t.merge(f.merge_a.data(), n, f.merge_b.data(), n, true,
-                const_cast<sort::Key*>(f.out.data()));
+                const_cast<sort::Key*>(f.out.data()), {});
         benchmark::DoNotOptimize(f.out.data());
       });
     default:
       return time_ns_per_call([&] {
         benchmark::DoNotOptimize(
-            t.includes(f.super.data(), 2 * n, f.asc.data(), n, true));
+            t.pair_check(f.super.data(), 2 * n, f.asc.data(), n, true));
       });
   }
 }
@@ -389,7 +389,7 @@ int run_kernel_sweep(const std::string& out_path) {
   // call overhead, dominates.
   const std::size_t sizes[] = {8, 16, 32, 64, 512, 4096};
   const char* names[] = {"run_break", "mismatch", "phi_f_scan", "merge",
-                         "includes"};
+                         "pair_check"};
 
   std::vector<SweepEntry> entries;
   const SweepEntry* best = nullptr;

@@ -226,6 +226,12 @@ class KeyBuf {
     if (n > size_) std::fill(data_ + size_, data_ + n, fill);
     size_ = n;
   }
+  // resize() without the fill: keys past the old size are left as the
+  // storage holds them, for a caller that writes every one before reading.
+  void resize_for_overwrite(std::size_t n) {
+    if (n > cap_) reallocate(std::max(n, 2 * size_));
+    size_ = n;
+  }
   void clear() { size_ = 0; }
   void push_back(Key k) {
     // `>=`, not `==`: a borrowed buffer has size_ > cap_ == 0.

@@ -98,15 +98,10 @@ void reverse_block(std::span<Key> block) {
 }
 
 void merge_dir_into(std::span<const Key> a, std::span<const Key> b,
-                    bool ascending, std::span<Key> out) {
+                    bool ascending, std::span<Key> out, kernels::Proven proven) {
   assert(is_sorted_dir(a, ascending) && is_sorted_dir(b, ascending));
   assert(out.size() == a.size() + b.size());
-  kernels::merge(a, b, ascending, out);
-}
-
-bool contains_submultiset(std::span<const Key> super, std::span<const Key> sub,
-                          bool ascending) {
-  return kernels::includes(super, sub, ascending);
+  kernels::merge(a, b, ascending, out, proven);
 }
 
 }  // namespace aoft::sort::blockops

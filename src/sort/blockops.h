@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/pool.h"
+#include "sort/kernels.h"
 #include "sort/keys.h"
 
 namespace aoft::sort::blockops {
@@ -54,13 +55,11 @@ void reverse_block(std::span<Key> block);
 // alias the inputs).  The hot loops of S_FT/S_NR reuse one scratch buffer
 // across all log^2 N iterations; there is deliberately no allocating variant
 // — callers own their scratch (the former merge_dir was the last allocating
-// call path through the merge).
+// call path through the merge).  `proven` names the blocks the caller has
+// already proven sorted in that direction on these bytes, whose scans the
+// merge then skips (the certificate contract of sort/kernels.h).
 void merge_dir_into(std::span<const Key> a, std::span<const Key> b,
-                    bool ascending, std::span<Key> out);
-
-// True iff `sub` (sorted, direction `ascending`) is a sub-multiset of
-// `super` (sorted, same direction).  One linear two-pointer pass.
-bool contains_submultiset(std::span<const Key> super, std::span<const Key> sub,
-                          bool ascending);
+                    bool ascending, std::span<Key> out,
+                    kernels::Proven proven = {});
 
 }  // namespace aoft::sort::blockops

@@ -176,12 +176,12 @@ template <bool Asc>
 // bytes stay the reference's on every input, not just on sorted ones.  The
 // precondition scans here and in the Φ_F kernel go through the active
 // table's run_break, vectorized where the host has it; its result is the
-// same on every path.
+// same on every path.  A run the caller proved sorted is not scanned again.
 void merge_kernel(const Key* a, std::size_t la, const Key* b, std::size_t lb,
-                  bool ascending, Key* out) {
+                  bool ascending, Key* out, Proven proven) {
   if (la + lb < detail::kMergePathCutoff ||
-      table().run_break(a, la, ascending) != la ||
-      table().run_break(b, lb, ascending) != lb) {
+      (!proven.first && table().run_break(a, la, ascending) != la) ||
+      (!proven.second && table().run_break(b, lb, ascending) != lb)) {
     detail::merge_reference(a, la, b, lb, ascending, out);
     return;
   }
@@ -228,21 +228,58 @@ std::int64_t phi_f_scan_kernel(const Key* llbs, const Key* lbs,
   if (size >= detail::kMergePathCutoff &&
       table().run_break(llbs, half, true) == half &&
       table().run_break(llbs + half, size - half, false) == size - half &&
-      (ascending ? lbs_is_runs_merge<true>(llbs, lbs, size)
-                 : lbs_is_runs_merge<false>(llbs, lbs, size)))
+      is_runs_merge({llbs, size}, {lbs, size}, ascending))
     return -1;
   return detail::phi_f_scan_reference(llbs, lbs, size, ascending);
 }
 
-bool includes_scalar(const Key* super, std::size_t ls, const Key* sub,
-                     std::size_t lb, bool ascending) {
-  if (ascending) return std::includes(super, super + ls, sub, sub + lb);
-  return std::includes(super, super + ls, sub, sub + lb, std::greater<Key>{});
+// The pair check as one pass over `merged`.  For a sorted `merged`,
+// std::includes(merged, mine) is the greedy subsequence match of `mine`:
+// both advance in `mine` exactly on equal keys, and once a key of `mine`
+// comes before the current key of `merged` no later key can match it, which
+// is where std::includes stops with false.  For an unsorted `merged` the
+// verdict is false either way, so the pairwise sortedness test is folded
+// into the same loads.  Being a subsequence splits at any point h: the
+// longest prefix of `mine` matched greedily in merged[0, h) and the longest
+// suffix matched greedily backward in merged[h, lm) cover `mine` iff they
+// meet (jf >= jb).  The two chains run interleaved, each step a select, not
+// a jump.  Reads stay inside `mine` while each chain has at most lb steps;
+// a `merged` more than twice as long as `mine` takes the one-chain loop.
+template <bool Asc>
+[[gnu::noinline]] bool pair_check_chains(const Key* merged, std::size_t lm,
+                                         const Key* mine, std::size_t lb) {
+  const std::size_t h = lm / 2;
+  bool unsorted = false;
+  if (lm - h > lb) {
+    std::size_t j = 0;
+    for (std::size_t k = 0; k < lm; ++k) {
+      if (k + 1 < lm) unsorted |= before<Asc>(merged[k + 1], merged[k]);
+      if (j < lb && merged[k] == mine[j]) ++j;
+    }
+    return !unsorted && j == lb;
+  }
+  std::size_t jf = 0, jb = lb;
+  for (std::size_t t = 0; t < h; ++t) {
+    const Key x = merged[t];
+    unsorted |= before<Asc>(merged[t + 1], x);
+    jf += x == mine[jf];
+    const Key y = merged[lm - 1 - t];
+    unsorted |= before<Asc>(y, merged[lm - 2 - t]);
+    jb -= y == mine[jb - 1];
+  }
+  if (lm - h > h) jb -= merged[h] == mine[jb - 1];  // odd lm: the middle key
+  return !unsorted && jf >= jb;
+}
+
+bool pair_check_kernel(const Key* merged, std::size_t lm, const Key* mine,
+                       std::size_t lb, bool ascending) {
+  return ascending ? pair_check_chains<true>(merged, lm, mine, lb)
+                   : pair_check_chains<false>(merged, lm, mine, lb);
 }
 
 constexpr KernelTable kScalarTable{run_break_scalar, mismatch_scalar,
                                    phi_f_scan_kernel, merge_kernel,
-                                   includes_scalar};
+                                   pair_check_kernel};
 
 // Published (table, path) pair.  First table() call detects and publishes;
 // force_path republishes.  Concurrent first-use is a benign race (every
@@ -252,6 +289,12 @@ std::atomic<const KernelTable*> g_table{nullptr};
 std::atomic<util::simd::Path> g_path{util::simd::Path::kScalar};
 
 }  // namespace
+
+bool is_runs_merge(std::span<const Key> llbs, std::span<const Key> lbs,
+                   bool ascending) {
+  return ascending ? lbs_is_runs_merge<true>(llbs.data(), lbs.data(), lbs.size())
+                   : lbs_is_runs_merge<false>(llbs.data(), lbs.data(), lbs.size());
+}
 
 namespace detail {
 

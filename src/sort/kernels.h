@@ -1,14 +1,15 @@
 // Vectorized kernels under the predicates and block operations.
 //
 // The paper prices S_FT's fault tolerance almost entirely in predicate
-// evaluations and block merges (Thm 4) — these five kernels ARE that cost,
+// evaluations and block merges (Thm 4) — these kernels ARE that cost,
 // flattened to contiguous Key (= std::int64_t) arrays:
 //
 //   run_break    Φ_P bitonic-run scan (first out-of-order pair)
 //   mismatch     Φ_C redundant-copy word compare (first differing word)
 //   phi_f_scan   Φ_F completeness check (two-run head matching)
 //   merge        blockops merge-split (two directional runs -> one)
-//   includes     blockops sub-multiset containment (directional)
+//   pair_check   the passive partner's exchange check: the returned pair is
+//                sorted and contains the block it contributed, in one pass
 //
 // Each has a scalar reference plus AVX2 (4x64) and NEON (2x64)
 // implementations selected once at runtime through a function-pointer table
@@ -22,10 +23,22 @@
 // every size (see kernels_avx2.cpp and bench/micro_predicates).  Those
 // loops run ~1 ns/element only on small repeated fixtures whose branches
 // the predictor learns; at block size on fresh inputs the reference merge
-// and Φ_F scan mispredict and cost 6-8 ns/key.  The scalar merge and
-// phi_f_scan are therefore merge-path kernels — interleaved branchless
-// chains, bit-identical to the reference loops kept in detail:: below.
-// Delegation is indistinguishable by the contract above.
+// and Φ_F scan mispredict and cost 6-8 ns/key.  The scalar merge,
+// phi_f_scan and pair_check are therefore branchless interleaved chains:
+// the first two merge-path walks bit-identical to the reference loops kept
+// in detail:: below, the last a greedy subsequence match from both ends,
+// whose verdict is `is_sorted && std::includes`.  Delegation is indistinguishable by the
+// contract above.
+//
+// Certificates.  The merge-path walks read within their runs only when the
+// runs are sorted, so merge and Φ_F scan their runs before walking them.  A
+// caller that has already proven a run sorted — in the direction the kernel
+// needs, by a scan that passed on the very bytes it now passes in — hands
+// the kernel a Proven certificate and the kernel skips that scan.  A
+// certificate may only skip a scan that already passed on the same bytes
+// (docs/PROTOCOL.md §12): then it changes no verdict, index or output byte.
+// A false one lets a walk read past its run and changes both.  Every run a
+// certificate does not cover is scanned as before.
 //
 // Kernels take raw pointers, not spans, so the dispatch table stays a plain
 // struct of function pointers; the inline span wrappers below are the
@@ -43,6 +56,13 @@
 namespace aoft::sort::kernels {
 
 using sim::Key;
+
+// The runs of a two-run kernel call that the caller has already proven
+// sorted in the direction the kernel reads them (see "Certificates" above).
+struct Proven {
+  bool first = false;
+  bool second = false;
+};
 
 struct KernelTable {
   // Index of the first k with the pair (v[k], v[k+1]) out of order for the
@@ -62,14 +82,16 @@ struct KernelTable {
                              bool ascending);
 
   // Merge two runs sorted in direction `ascending` into out[0, la+lb).
-  // `out` must not alias the inputs.
+  // `out` must not alias the inputs.  `proven` certifies a (first) and b
+  // (second) sorted; unsorted runs get the reference merge's bytes.
   void (*merge)(const Key* a, std::size_t la, const Key* b, std::size_t lb,
-                bool ascending, Key* out);
+                bool ascending, Key* out, Proven proven);
 
-  // True iff `sub` is a sub-multiset of `super`, both sorted in direction
-  // `ascending` (std::includes semantics).
-  bool (*includes)(const Key* super, std::size_t ls, const Key* sub,
-                   std::size_t lb, bool ascending);
+  // True iff `merged` is sorted in direction `ascending` and `mine` is a
+  // sub-multiset of it: the verdict of is_sorted && std::includes(merged,
+  // mine) on every input, sorted `mine` or not, in one pass over `merged`.
+  bool (*pair_check)(const Key* merged, std::size_t lm, const Key* mine,
+                     std::size_t lb, bool ascending);
 };
 
 // The table for the active dispatch path.  The path is resolved once per
@@ -130,15 +152,27 @@ inline std::int64_t phi_f_scan(std::span<const Key> llbs,
   return table().phi_f_scan(llbs.data(), lbs.data(), lbs.size(), ascending);
 }
 
+// Φ_F's merge compare, the core of phi_f_scan's fast path: true iff `lbs`,
+// read in ascending visit order (forward when `ascending`, backward
+// otherwise), is the ascending merge of llbs' lower run [0, size/2) and its
+// upper run [size/2, size) read backward.  When it holds, lbs is sorted in
+// direction `ascending`.  Requires size >= detail::kMergePathCutoff and both
+// runs proven sorted (lower non-decreasing, upper non-increasing): the walk
+// has no bounds checks.  Not dispatched: phi_f_scan runs this same walk on
+// every path.
+bool is_runs_merge(std::span<const Key> llbs, std::span<const Key> lbs,
+                   bool ascending);
+
 inline void merge(std::span<const Key> a, std::span<const Key> b,
-                  bool ascending, std::span<Key> out) {
-  table().merge(a.data(), a.size(), b.data(), b.size(), ascending, out.data());
+                  bool ascending, std::span<Key> out, Proven proven = {}) {
+  table().merge(a.data(), a.size(), b.data(), b.size(), ascending, out.data(),
+                proven);
 }
 
-inline bool includes(std::span<const Key> super, std::span<const Key> sub,
-                     bool ascending) {
-  return table().includes(super.data(), super.size(), sub.data(), sub.size(),
-                          ascending);
+inline bool pair_check(std::span<const Key> merged, std::span<const Key> mine,
+                       bool ascending) {
+  return table().pair_check(merged.data(), merged.size(), mine.data(),
+                            mine.size(), ascending);
 }
 
 }  // namespace aoft::sort::kernels

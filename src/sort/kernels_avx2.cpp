@@ -8,16 +8,17 @@
 // Only the wide linear scans are vectorized.  run_break and mismatch stream
 // 32 bytes per compare with no cross-iteration dependency and measure 2-4x
 // over scalar (bench/micro_predicates kernel sweep).  The pointer-chasing
-// kernels — phi_f_scan, merge, includes — were prototyped as 4-wide bitonic
-// networks and galloped scans and *lost* to the scalar loops on every size
-// (0.1-0.4x): the vector versions serialize on permute4x64 and the emulated
-// 64-bit min/max (cmpgt + blendv) with data-dependent advances that average
-// under two lanes of useful work per vector op.  Those scalar loops ran
-// ~1 ns/element only on the sweep's small repeated fixtures, whose branches
-// the predictor learns; at block size on fresh inputs the reference merge
-// and Φ_F scan cost 6-8 ns/key.  The scalar table's merge and phi_f_scan
-// are therefore merge-path kernels (kernels.cpp) that do not branch on the
-// data.  All three delegate to the scalar function pointers outright —
+// kernels — phi_f_scan, merge and the pair check (then std::includes) — were
+// prototyped as 4-wide bitonic networks and galloped scans and *lost* to the
+// scalar loops on every size (0.1-0.4x): the vector versions serialize on
+// permute4x64 and the emulated 64-bit min/max (cmpgt + blendv) with
+// data-dependent advances that average under two lanes of useful work per
+// vector op.  Those scalar loops ran ~1 ns/element only on the sweep's small
+// repeated fixtures, whose branches the predictor learns; at block size on
+// fresh inputs the reference merge and Φ_F scan cost 6-8 ns/key.  The scalar
+// table's merge, phi_f_scan and pair_check are therefore interleaved chains
+// (kernels.cpp) that do not branch on the data.  All three delegate to the
+// scalar function pointers outright —
 // delegation is invisible under the bit-identity contract, exactly like the
 // NEON table (kernels_neon.cpp), and the sweep reports such entries as
 // "delegated" rather than inventing a speedup.

@@ -4,7 +4,7 @@
 // extra compile flags — it is simply only added to the build on that target
 // (src/sort/CMakeLists.txt).  With 2-wide vectors the wins are in the wide
 // linear scans; run_break and mismatch are vectorized here, while the
-// pointer-chasing kernels (phi_f_scan, merge, includes) delegate to the
+// pointer-chasing kernels (phi_f_scan, merge, pair_check) delegate to the
 // scalar reference — delegation is invisible under the bit-identity contract
 // (tests/sort/kernels_fuzz_test.cpp exercises this table like any other).
 
@@ -54,17 +54,17 @@ std::int64_t phi_f_scan_neon(const Key* llbs, const Key* lbs, std::size_t size,
 }
 
 void merge_neon(const Key* a, std::size_t la, const Key* b, std::size_t lb,
-                bool ascending, Key* out) {
-  detail::scalar_table().merge(a, la, b, lb, ascending, out);
+                bool ascending, Key* out, Proven proven) {
+  detail::scalar_table().merge(a, la, b, lb, ascending, out, proven);
 }
 
-bool includes_neon(const Key* super, std::size_t ls, const Key* sub,
-                   std::size_t lb, bool ascending) {
-  return detail::scalar_table().includes(super, ls, sub, lb, ascending);
+bool pair_check_neon(const Key* merged, std::size_t lm, const Key* mine,
+                     std::size_t lb, bool ascending) {
+  return detail::scalar_table().pair_check(merged, lm, mine, lb, ascending);
 }
 
 constexpr KernelTable kNeonTable{run_break_neon, mismatch_neon,
-                                 phi_f_scan_neon, merge_neon, includes_neon};
+                                 phi_f_scan_neon, merge_neon, pair_check_neon};
 
 }  // namespace
 

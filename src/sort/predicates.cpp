@@ -151,18 +151,70 @@ std::optional<Violation> phi_c_merge(std::span<Key> local, BitVec& local_cover,
                                          sender_cover, window, m, stats));
 }
 
+namespace {
+
+// Φ_P ∘ Φ_F in one read of each window (see bit_compare in the header).
+// True only when both predicates pass; false hands the decision to phi_p and
+// phi_f.  A pass proves each of their conditions on the same bytes:
+//   * Φ_F: lbs' inner half, in visit order, equals the ascending merge of
+//     the two llbs runs, which are sorted (certified or scanned here) — the
+//     merge-path pass of phi_f_scan;
+//   * Φ_P on the inner half: that merge is sorted, so the half is sorted in
+//     direction `inner_ascending`, which is Φ_P's direction for it (the
+//     lower half of a stage window ascends, the upper descends; the final
+//     window ascends whole);
+//   * Φ_P on the other half: scanned here.
+bool stage_passes(std::span<const Key> llbs_inner, std::span<const Key> lbs_outer,
+                  std::span<const Key> lbs_inner, bool inner_lower,
+                  bool inner_ascending, bool final_stage, kernels::Proven runs) {
+  const std::size_t size = lbs_inner.size();
+  const std::size_t half = size / 2;
+  if (size < kernels::detail::kMergePathCutoff) return false;
+  if (final_stage ? size != lbs_outer.size() || !inner_ascending
+                  : 2 * size != lbs_outer.size() || inner_lower != inner_ascending)
+    return false;
+  if (!runs.first && !kernels::is_sorted_run(llbs_inner.first(half), true))
+    return false;
+  if (!runs.second && !kernels::is_sorted_run(llbs_inner.subspan(half), false))
+    return false;
+  if (!kernels::is_runs_merge(llbs_inner, lbs_inner, inner_ascending)) return false;
+  if (final_stage) return true;
+  const auto other = inner_lower ? lbs_outer.subspan(size) : lbs_outer.first(size);
+  return kernels::is_sorted_run(other, !inner_lower);
+}
+
+}  // namespace
+
 std::optional<Violation> bit_compare(std::span<const Key> llbs,
                                      std::span<const Key> lbs,
                                      const cube::Subcube& outer,
                                      const cube::Subcube& inner,
                                      bool inner_ascending, bool final_stage,
-                                     std::size_t m) {
+                                     std::size_t m, const StageChecks& checks) {
   const auto window_span = [&](std::span<const Key> full, const cube::Subcube& sc) {
     return full.subspan(static_cast<std::size_t>(sc.start) * m,
                         static_cast<std::size_t>(sc.size()) * m);
   };
-  if (auto v = phi_p(window_span(lbs, outer), final_stage)) return v;
-  return phi_f(window_span(llbs, inner), window_span(lbs, inner), inner_ascending);
+  const auto lbs_outer = window_span(lbs, outer);
+  const auto lbs_inner = window_span(lbs, inner);
+  const auto llbs_inner = window_span(llbs, inner);
+  if (checks.progress && checks.feasibility &&
+      stage_passes(llbs_inner, lbs_outer, lbs_inner, inner.start == outer.start,
+                   inner_ascending, final_stage, checks.llbs_runs)) {
+    record_verdict(obs::Ev::kPhiP, obs::Counter::kPhiPPass,
+                   obs::Counter::kPhiPFail, std::nullopt);
+    record_verdict(obs::Ev::kPhiF, obs::Counter::kPhiFPass,
+                   obs::Counter::kPhiFFail, std::nullopt);
+    return std::nullopt;
+  }
+  std::optional<Violation> first;
+  if (checks.progress) first = phi_p(lbs_outer, final_stage);
+  if (first && !checks.past_violation) return first;
+  if (checks.feasibility) {
+    auto v = phi_f(llbs_inner, lbs_inner, inner_ascending);
+    if (!first) first = std::move(v);
+  }
+  return first;
 }
 
 }  // namespace aoft::sort

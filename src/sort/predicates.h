@@ -35,6 +35,7 @@
 
 #include "hypercube/masks.h"
 #include "hypercube/subcube.h"
+#include "sort/kernels.h"
 #include "sort/keys.h"
 #include "util/bitvec.h"
 
@@ -93,15 +94,41 @@ std::optional<Violation> phi_c_merge(std::span<Key> local, BitVec& local_cover,
 
 // --- bit_compare -------------------------------------------------------------
 
+// What one stage-boundary bit_compare evaluates, and what its caller has
+// already proven.  The defaults are the paper's bit_compare.
+struct StageChecks {
+  bool progress = true;     // evaluate Φ_P
+  bool feasibility = true;  // evaluate Φ_F
+  // Evaluate Φ_F even after Φ_P failed, as a silent checker does; otherwise
+  // the first violation ends the check.
+  bool past_violation = false;
+  // The runs of `llbs` over `inner` already proven in Φ_F's direction — the
+  // lower run non-decreasing (first), the upper non-increasing (second) — by
+  // a scan that passed on these very bytes (docs/PROTOCOL.md §12).  Their
+  // scans are skipped; a false certificate can read past a run.
+  kernels::Proven llbs_runs;
+};
+
 // The paper's bit_compare: Φ_P over the stage window followed by Φ_F over the
 // inner home subcube (Fig. 3 / Lemma 4).  `lbs` and `llbs` are full-cube
 // flattened arrays; `outer` is SC_{i+1,node}; `inner` is SC_{i,node};
 // `inner_ascending` is the direction stage i-1 sorted the inner subcube.
+// Returns the first violation, Φ_P's before Φ_F's.
+//
+// It reads each window once when it can: the llbs runs `checks` does not
+// certify are scanned, lbs' inner half is compared with their merge (Φ_F's
+// pass, which also proves that half sorted the way Φ_P wants), and only the
+// rest of the window is scanned for Φ_P — nothing at the final stage.  On a
+// pass it records both verdicts as phi_p and phi_f would.  Anything else —
+// a window below the merge-path cutoff, a check turned off, any failure —
+// runs phi_p and then phi_f, so every verdict, first-failure index and trace
+// event is theirs.
 std::optional<Violation> bit_compare(std::span<const Key> llbs,
                                      std::span<const Key> lbs,
                                      const cube::Subcube& outer,
                                      const cube::Subcube& inner,
                                      bool inner_ascending, bool final_stage,
-                                     std::size_t m);
+                                     std::size_t m,
+                                     const StageChecks& checks = {});
 
 }  // namespace aoft::sort

@@ -70,10 +70,20 @@ struct NodeState {
 
   sim::KeyBuf a;     // my block, stored in `cur_asc` direction
   bool cur_asc = true;
+  // `a` is known sorted in `cur_asc`: the node sorted it, merged it from
+  // sorted operands, or adopted it from a pair its exchange check passed.
+  // The merge then skips its scan (kernels.h, "Certificates").
+  bool a_sorted = false;
 
   sim::KeyBuf lbs;   // full-cube flattened collection for this stage
   sim::KeyBuf llbs;  // validated collection from the previous stage
   util::BitVec lmask;     // labels collected in `lbs`
+  // The runs of llbs over this stage's inner subcube already proven in Φ_F's
+  // direction on the bytes llbs holds: a Φ_P that passed on the window the
+  // last boundary copied, or stage 0's own and checked partner blocks.
+  kernels::Proven llbs_runs;
+  // The last merge_received absorbed or matched every covered cell.
+  bool phi_c_clean = false;
 
   // The window region of `lbs` as a read-only view.
   std::span<const Key> window_slice(const cube::Subcube& w) const {
@@ -87,6 +97,7 @@ struct NodeState {
   bool merge_received(const sim::Message& msg, const util::BitVec& sender_cover,
                       const cube::Subcube& window, int i, int j) {
     const auto& cm = job->cfg.cost;
+    phi_c_clean = false;
     if (msg.lbs.size() != static_cast<std::size_t>(window.size()) * m)
       return !flag({0, i, j, sim::ErrorSource::kPhiC, "malformed LBS slice"});
     // Charge the mask computation (Lemma 7) and the merge scan (Lemma 9).
@@ -95,6 +106,7 @@ struct NodeState {
     obs::ScopedPredContext at(ctx->id(), i, j, ctx->clock());
     auto violation = phi_c_merge(lbs, lmask, msg.lbs, sender_cover, window, m, &stats);
     ctx->charge(cm.merge_entry * static_cast<double>(stats.checked + stats.absorbed));
+    phi_c_clean = !violation;
     if (violation && job->cfg.check_consistency)
       return !flag({0, i, j, sim::ErrorSource::kPhiC, violation->what});
     return true;
@@ -102,14 +114,15 @@ struct NodeState {
 
   // The passive partner's executable assertion on the returned pair (a, b):
   // the merge must be direction-sorted and contain the block it contributed.
+  // Adopting the upper half of a pair that passed keeps `a` sorted.
   bool check_pair(std::span<const Key> merged, std::span<const Key> mine,
                   bool asc, int i, int j) {
     const auto& cm = job->cfg.cost;
     ctx->charge(cm.cmp * static_cast<double>(merged.size() + mine.size()));
+    a_sorted = false;
     if (!job->cfg.check_exchange) return true;
-    const bool ok = merged.size() == 2 * m &&
-                    blockops::is_sorted_dir(merged, asc) &&
-                    blockops::contains_submultiset(merged, mine, asc);
+    const bool ok = merged.size() == 2 * m && kernels::pair_check(merged, mine, asc);
+    a_sorted = ok;
     if (auto* tr = obs::tracer())
       tr->instant(obs::Ev::kPairCheck, ctx->id(), i, j, ctx->clock(),
                   ok ? 1 : 0);
@@ -125,27 +138,30 @@ struct NodeState {
   // ablation toggles.  Returns false after signalling.
   bool verify_stage(const cube::Subcube& outer, const cube::Subcube& inner,
                     bool inner_ascending, bool final_stage, int i) {
-    const auto& cm = job->cfg.cost;
-    const auto window_span = [&](const sim::KeyBuf& full,
-                                 const cube::Subcube& sc) {
-      return std::span<const Key>(full).subspan(
-          static_cast<std::size_t>(sc.start) * m,
-          static_cast<std::size_t>(sc.size()) * m);
-    };
+    const auto& cfg = job->cfg;
+    const auto& cm = cfg.cost;
     obs::ScopedPredContext at(ctx->id(), i, -1, ctx->clock());
-    if (job->cfg.check_progress) {
+    const auto v = bit_compare(llbs, lbs, outer, inner, inner_ascending,
+                               final_stage, m,
+                               {.progress = cfg.check_progress != 0,
+                                .feasibility = cfg.check_feasibility != 0,
+                                .past_violation = silent,
+                                .llbs_runs = llbs_runs});
+    const bool progress_failed = v && source_of(*v) == sim::ErrorSource::kPhiP;
+    if (cfg.check_progress) {
       ctx->charge(cm.cmp * static_cast<double>(outer.size() * m));
-      if (auto v = phi_p(window_span(lbs, outer), final_stage)) {
-        if (flag({0, i, -1, source_of(*v), v->what})) return false;
-      }
+      if (progress_failed && flag({0, i, -1, source_of(*v), v->what}))
+        return false;
     }
-    if (job->cfg.check_feasibility) {
+    if (cfg.check_feasibility) {
       ctx->charge(2.0 * cm.cmp * static_cast<double>(inner.size() * m));
-      if (auto v = phi_f(window_span(llbs, inner), window_span(lbs, inner),
-                         inner_ascending)) {
-        if (flag({0, i, -1, source_of(*v), v->what})) return false;
-      }
+      if (v && !progress_failed && flag({0, i, -1, source_of(*v), v->what}))
+        return false;
     }
+    // The boundary copies this very window into llbs next; the next stage's
+    // Φ_F reads it as its inner window, whose runs Φ_P just proved.
+    const bool proven = cfg.check_progress && !progress_failed;
+    llbs_runs = {proven, proven};
     return true;
   }
 };
@@ -187,6 +203,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
     // matching Fig. 3.
     st.cur_asc = cube::subcube_sorted_ascending(0, me);
     blockops::sort_dir(st.a, st.cur_asc, ctx.pool());
+    st.a_sorted = true;
     ctx.charge(local_sort_cost(cm, m));
   } else {
     // Resuming from a host-certified checkpoint: the block arrives already
@@ -196,7 +213,9 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
   }
 
   st.lbs.assign(num_nodes * m, Key{0});
-  st.llbs.assign(num_nodes * m, Key{0});
+  // Every llbs cell Φ_F reads is written first, by a boundary copy or the
+  // resume copy below, so llbs is sized, not filled.
+  st.llbs.resize_for_overwrite(num_nodes * m);
   if (start > 0) {
     // C_{start-1}, restricted to the node's own SC_start window — exactly the
     // entries the uninterrupted run carried over its stage-(start-1) boundary
@@ -207,6 +226,10 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
         job.llbs.begin() + static_cast<std::ptrdiff_t>((prev.end + 1) * m),
         st.llbs.begin() + static_cast<std::ptrdiff_t>(prev.start * m));
   }
+  // Stage 1's Φ_F reads stage 0's window, whose run holding the node's own
+  // block the node proved by sorting it.
+  if (start == 0)
+    st.llbs_runs = {!cube::node_bit(me, 0), cube::node_bit(me, 0)};
   st.lmask = util::BitVec(num_nodes);
   auto reset_lbs = [&] {
     std::copy(st.a.begin(), st.a.end(),
@@ -229,6 +252,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
       // Consistent liar: fabricate an element everywhere, including own gossip.
       st.a[0] = st.fault->substitute_value;
       blockops::sort_dir(st.a, st.cur_asc, ctx.pool());
+      st.a_sorted = true;
       reset_lbs();
     }
     if (asc != st.cur_asc) {
@@ -273,6 +297,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
           theirs.resize(m, 0);
           blockops::sort_dir(theirs, st.cur_asc, ctx.pool());
         }
+        // `theirs` is sorted in `cur_asc` from here on, checked or re-sorted.
         ctx.charge(cm.cmp * static_cast<double>(m));
         if (job.cfg.check_exchange && j == i) {
           // At the first iteration of a stage the partner's gossip must carry
@@ -294,6 +319,10 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
             write_out();
             co_return;
           }
+          // At stage 0 the partner's gossiped block, the upper run of the
+          // llbs stage 1's Φ_F reads, is proven here: absorbed whole and
+          // equal to the sorted operand, in its owner's direction.
+          if (i == 0) st.llbs_runs.second = same && st.phi_c_clean;
         }
         // Reply carries the whole pair (a, b) plus the *merged* collection.
         // The merge writes straight into the reply's pooled buffer — the
@@ -306,8 +335,9 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
         reply.kind = sim::MsgKind::kDataLbs;
         reply.stage = i;
         reply.iter = j;
-        reply.data.resize(2 * m);
-        blockops::merge_dir_into(st.a, theirs, st.cur_asc, reply.data);
+        reply.data.resize_for_overwrite(2 * m);
+        blockops::merge_dir_into(st.a, theirs, st.cur_asc, reply.data,
+                                 {.first = st.a_sorted, .second = true});
         ctx.charge(cm.cmp * static_cast<double>(2 * m));
         st.a.assign(reply.data.begin(),
                     reply.data.begin() + static_cast<std::ptrdiff_t>(m));
@@ -364,9 +394,17 @@ sim::SimTask sft_node(sim::Ctx& ctx, const fleet::NodeJob& job) {
       snap.window = window;
       const auto lbs_window = st.window_slice(window);
       snap.lbs_window.assign(lbs_window.begin(), lbs_window.end());
-      snap.llbs_window.assign(
-          st.llbs.begin() + static_cast<std::ptrdiff_t>(window.start * m),
-          st.llbs.begin() + static_cast<std::ptrdiff_t>((window.end + 1) * m));
+      // llbs holds SC_i, written by the last boundary or resume copy; the
+      // rest of the window was never written and reads as zeros.
+      snap.llbs_window.assign(window.size() * m, Key{0});
+      if (i > 0) {
+        const cube::Subcube held = cube::home_subcube(i, me);
+        std::copy(
+            st.llbs.begin() + static_cast<std::ptrdiff_t>(held.start * m),
+            st.llbs.begin() + static_cast<std::ptrdiff_t>((held.end + 1) * m),
+            snap.llbs_window.begin() +
+                static_cast<std::ptrdiff_t>((held.start - window.start) * m));
+      }
       (*job.observer)(snap);
     }
     if (job.cfg.checkpoint) {

@@ -1,6 +1,7 @@
 #include "transport/process.h"
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -95,7 +96,13 @@ pid_t ChildSet::spawn(std::size_t slot, const std::function<int()>& body) {
 pid_t ChildSet::spawn_exec(std::size_t slot, const std::string& binary,
                           const std::string& arg) {
   const std::string node_arg = "--node=" + std::to_string(slot);
+  const pid_t host = ::getpid();
   return spawn(slot, [&] {
+    // The exec'd node dies with this process.  The death signal survives
+    // exec; checking the parent after setting it closes the race with a
+    // host that died between fork and prctl.
+    if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != host)
+      return 127;
     ::execl(binary.c_str(), binary.c_str(), arg.c_str(), node_arg.c_str(),
             static_cast<char*>(nullptr));
     std::perror("execl");

@@ -31,6 +31,9 @@
 #ifndef AOFT_CLI_PATH
 #error "build must define AOFT_CLI_PATH (see tests/CMakeLists.txt)"
 #endif
+#ifndef AOFT_NODE_PATH
+#error "build must define AOFT_NODE_PATH (see tests/CMakeLists.txt)"
+#endif
 
 namespace {
 
@@ -122,6 +125,31 @@ TEST(CliArgs, SpawnFailureLeavesNoChildBehind) {
   prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0);
 }
 
+// SIGKILL a CLI started with `args` after `delay_ms` and expect every node it
+// orphaned (reparented to this subreaper) gone within 5 s.
+void expect_no_node_outlives_host(const std::vector<std::string>& args,
+                                  int delay_ms) {
+  const pid_t cli = spawn_cli(args);
+  std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  kill(cli, SIGKILL);
+  wait_cli(cli);  // killed, or (a fast host, the last delay) finished
+  // Every node the CLI orphaned is reparented here; reap them as they go.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool gone = false;
+  while (!gone && std::chrono::steady_clock::now() < deadline) {
+    const pid_t r = waitpid(-1, nullptr, WNOHANG);
+    gone = r == -1 && errno == ECHILD;
+    if (r == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_TRUE(gone) << "a node outlived the CLI (" << args[2]
+                    << ") killed after " << delay_ms << " ms by 5 s";
+  kill(-cli, SIGKILL);
+  while (waitpid(-1, nullptr, 0) > 0) {
+  }
+}
+
 // A tcp fleet whose CLI is SIGKILLed leaves no node behind for long: a
 // node takes its host for gone, in every setup wait and in wait_activity,
 // once its host link ends or (forked) its parent changes, rather than
@@ -129,28 +157,23 @@ TEST(CliArgs, SpawnFailureLeavesNoChildBehind) {
 // delays catch nodes dialing or waiting for CONFIG, then mid-sort.
 TEST(CliArgs, KilledTcpHostLeavesNoNodeBehind) {
   ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0), 0);
-  for (int delay_ms : {30, 300, 1000}) {
-    const pid_t cli = spawn_cli(
-        {"--dim=6", "--block=4096", "--transport=tcp", "--quiet"});
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-    kill(cli, SIGKILL);
-    wait_cli(cli);  // killed, or (a fast host, the last delay) finished
-    // Every node the CLI orphaned is reparented here; reap them as they go.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    bool gone = false;
-    while (!gone && std::chrono::steady_clock::now() < deadline) {
-      const pid_t r = waitpid(-1, nullptr, WNOHANG);
-      gone = r == -1 && errno == ECHILD;
-      if (r == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    EXPECT_TRUE(gone) << "a node outlived the CLI killed after " << delay_ms
-                      << " ms by 5 s";
-    kill(-cli, SIGKILL);
-    while (waitpid(-1, nullptr, 0) > 0) {
-    }
-  }
+  for (int delay_ms : {30, 300, 1000})
+    expect_no_node_outlives_host(
+        {"--dim=6", "--block=4096", "--transport=tcp", "--quiet"}, delay_ms);
+  prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0);
+}
+
+// The same for nodes exec'd from aoft_node, on both fabrics.  An exec'd node
+// has no fork-time view of its host: it dies with its parent through
+// PR_SET_PDEATHSIG, instead of retrying a dial or waiting on a segment until
+// the run deadline.
+TEST(CliArgs, KilledHostLeavesNoExecdNodeBehind) {
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0), 0);
+  for (const char* transport : {"--transport=tcp", "--transport=shm"})
+    for (int delay_ms : {20, 100, 300})
+      expect_no_node_outlives_host({"--dim=6", "--block=4096", transport,
+                                    "--node-bin=" AOFT_NODE_PATH, "--quiet"},
+                                   delay_ms);
   prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0);
 }
 

@@ -57,20 +57,29 @@ TEST(BlockOpsTest, MergeWithDuplicates) {
 
 TEST(BlockOpsTest, SubMultisetPositive) {
   const std::vector<Key> super{1, 2, 2, 5, 9};
-  EXPECT_TRUE(contains_submultiset(super, std::vector<Key>{2, 5}, true));
-  EXPECT_TRUE(contains_submultiset(super, std::vector<Key>{2, 2}, true));
-  EXPECT_TRUE(contains_submultiset(super, std::vector<Key>{}, true));
+  EXPECT_TRUE(kernels::pair_check(super, std::vector<Key>{2, 5}, true));
+  EXPECT_TRUE(kernels::pair_check(super, std::vector<Key>{2, 2}, true));
+  EXPECT_TRUE(kernels::pair_check(super, std::vector<Key>{}, true));
 }
 
 TEST(BlockOpsTest, SubMultisetRespectsMultiplicity) {
   const std::vector<Key> super{1, 2, 5};
-  EXPECT_FALSE(contains_submultiset(super, std::vector<Key>{2, 2}, true));
+  EXPECT_FALSE(kernels::pair_check(super, std::vector<Key>{2, 2}, true));
 }
 
 TEST(BlockOpsTest, SubMultisetDescending) {
   const std::vector<Key> super{9, 5, 2, 1};
-  EXPECT_TRUE(contains_submultiset(super, std::vector<Key>{9, 1}, false));
-  EXPECT_FALSE(contains_submultiset(super, std::vector<Key>{9, 3}, false));
+  EXPECT_TRUE(kernels::pair_check(super, std::vector<Key>{9, 1}, false));
+  EXPECT_FALSE(kernels::pair_check(super, std::vector<Key>{9, 3}, false));
+}
+
+// The pair check also rejects a pair that is not sorted in its direction,
+// even when it holds the contributed block.
+TEST(BlockOpsTest, PairCheckRejectsUnsortedPair) {
+  const std::vector<Key> mine{2, 5};
+  EXPECT_TRUE(kernels::pair_check(std::vector<Key>{1, 2, 5, 7}, mine, true));
+  EXPECT_FALSE(kernels::pair_check(std::vector<Key>{2, 1, 5, 7}, mine, true));
+  EXPECT_FALSE(kernels::pair_check(std::vector<Key>{1, 2, 5, 7}, mine, false));
 }
 
 }  // namespace

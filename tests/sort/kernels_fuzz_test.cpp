@@ -179,10 +179,11 @@ TEST(KernelsFuzzTest, MergeOutputBytesMatchScalarEverywhere) {
           std::reverse(b.begin(), b.end());
         }
         std::vector<Key> want(la + lb);
-        scalar.merge(a.data(), la, b.data(), lb, ascending, want.data());
+        scalar.merge(a.data(), la, b.data(), lb, ascending, want.data(), {});
         for (const Path p : paths) {
           std::vector<Key> got(la + lb, Key{-777});
-          table_for(p).merge(a.data(), la, b.data(), lb, ascending, got.data());
+          table_for(p).merge(a.data(), la, b.data(), lb, ascending, got.data(),
+                             {});
           ASSERT_EQ(got, want) << util::simd::to_string(p) << " la=" << la
                                << " lb=" << lb << " asc=" << ascending;
         }
@@ -213,11 +214,11 @@ TEST(KernelsFuzzTest, IncludesMatchesScalarEverywhere) {
           std::reverse(super.begin(), super.end());
           std::reverse(sub.begin(), sub.end());
         }
-        const bool want = scalar.includes(super.data(), ls, sub.data(),
-                                          sub.size(), ascending);
+        const bool want = scalar.pair_check(super.data(), ls, sub.data(),
+                                            sub.size(), ascending);
         for (const Path p : paths)
-          ASSERT_EQ(table_for(p).includes(super.data(), ls, sub.data(),
-                                          sub.size(), ascending),
+          ASSERT_EQ(table_for(p).pair_check(super.data(), ls, sub.data(),
+                                            sub.size(), ascending),
                     want)
               << util::simd::to_string(p) << " ls=" << ls;
       }

@@ -69,7 +69,7 @@ void expect_merge_matches(const std::vector<Key>& a, const std::vector<Key>& b,
   for (const Path p : testable_paths()) {
     std::vector<Key> got(a.size() + b.size(), Key{-777});
     table_for(p).merge(a.data(), a.size(), b.data(), b.size(), ascending,
-                       got.data());
+                       got.data(), {});
     ASSERT_EQ(got, want) << what << " " << util::simd::to_string(p)
                          << " la=" << a.size() << " lb=" << b.size()
                          << " asc=" << ascending;
