@@ -1,6 +1,9 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -233,18 +236,31 @@ std::string escape(std::string_view s) {
   return out;
 }
 
+// The smallest %.Ng precision whose output reads back as v, or %.17g when
+// none up to 16 does (non-finite values print as %.17g does).  No precision
+// below the digit count of the shortest round-trip form can read back, so
+// the search starts there.  It cannot always stop there: the shortest form
+// of 2^-24 has 16 digits, but %.16g rounds the exact binary value
+// differently and misses, so the answer is %.17g.
 std::string shortest_double(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  double back = 0.0;
-  std::sscanf(buf, "%lg", &back);
-  for (int prec = 1; prec <= 16; ++prec) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-    std::sscanf(shorter, "%lg", &back);
-    if (back == v) return shorter;
+  if (!std::isfinite(v)) {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
   }
-  return buf;
+  char* end = std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::scientific).ptr;
+  char* const exp = std::find(buf, end, 'e');
+  int prec = static_cast<int>(
+      std::count_if(buf, exp, [](char c) { return c >= '0' && c <= '9'; }));
+  for (;; ++prec) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        prec).ptr;
+    double back = 0.0;
+    if (prec == 17 ||
+        (std::from_chars(buf, end, back).ec == std::errc{} && back == v))
+      return {buf, end};
+  }
 }
 
 }  // namespace aoft::obs::json

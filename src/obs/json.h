@@ -59,7 +59,8 @@ bool get_bool(const Object& o, const char* key, bool& out);
 std::string escape(std::string_view s);
 
 // Shortest decimal that round-trips to the same double, so canonical files
-// never differ in trailing digits.
+// never differ in trailing digits: the smallest %.Ng precision that reads
+// back as `v`, found with std::to_chars/std::from_chars.
 std::string shortest_double(double v);
 
 }  // namespace aoft::obs::json

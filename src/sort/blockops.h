@@ -33,15 +33,24 @@ inline constexpr std::size_t kRadixCutoff = 512;
 
 // Sort `block` in the given direction.  From kRadixCutoff keys up this is a
 // linear-time radix sort that ping-pongs between `block` and a scratch
-// KeyBuf of block.size() keys drawn from `pool` for the call; below it the
-// pool is not touched.  Node programs pass their machine's pool, so a warm
-// machine's sorts allocate nothing.  Wall clock only: the cost model still
-// charges m·log2 m comparisons.
+// KeyBuf of block.size() keys drawn from `pool` for the call (sized, not
+// zero-filled); below it the pool is not touched.  Node programs pass their
+// machine's pool, so a warm machine's sorts allocate nothing.  Wall clock
+// only: the cost model still charges m·log2 m comparisons.
 void sort_dir(std::span<Key> block, bool ascending, sim::KeyPool& pool);
 
-// The same with a pool local to the call, so the scratch is freed on return:
-// for one-shot host-side sorts such as classify.
+// The same with a pool local to the call, so the scratch is freed on return.
 void sort_dir(std::span<Key> block, bool ascending);
+
+// Sort the keys of `src` into `out` (src.size() keys) in the given direction
+// without writing `src`.  From kRadixCutoff keys up, the radix sort's first
+// pass reads `src` and its passes alternate between `out` and `scratch` (at
+// least src.size() keys) so that the last lands in `out`: no copy of `src`
+// is made.  Below it, `src` is copied into `out` and sorted there.  `out`
+// and `scratch` alias neither `src` nor each other.  The exact oracle
+// (sort/keys.h) sorts each of its parts with this.
+void sort_into(std::span<const Key> src, bool ascending, std::span<Key> out,
+               std::span<Key> scratch);
 
 // True iff `block` is sorted in the given direction.
 bool is_sorted_dir(std::span<const Key> block, bool ascending);

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "sort/blockops.h"
-
 namespace aoft::sort {
 
 const char* to_string(Outcome o) {
@@ -19,11 +17,8 @@ const char* to_string(Outcome o) {
 
 Outcome classify(const SortRun& run, std::span<const Key> input) {
   if (run.fail_stop()) return Outcome::kFailStop;
-  // A correct output is exactly the input sorted, so one sort of a copy of
-  // the input and one compare reject a wrong size, order or multiset alike.
-  std::vector<Key> sorted(input.begin(), input.end());
-  blockops::sort_dir(sorted, true);
-  return sorted == run.output ? Outcome::kCorrect : Outcome::kSilentWrong;
+  return is_sort_of(run.output, input) ? Outcome::kCorrect
+                                       : Outcome::kSilentWrong;
 }
 
 void require_cube_keys(const char* what, int dim, std::size_t block,

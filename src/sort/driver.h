@@ -60,7 +60,9 @@ struct SortRun {
 };
 
 // Classify a finished run against the original input.  Exact: a correct
-// output equals a sorted copy of the input.
+// output is the input sorted ascending, which the oracle is_sort_of
+// (sort/keys.h) decides on parallel sorted runs of the input, so a wrong
+// size, order or multiset is rejected alike.
 Outcome classify(const SortRun& run, std::span<const Key> input);
 
 // A consistent recovery line: re-enter S_FT at the start of `stage` with

@@ -12,6 +12,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace aoft::sort::kernels {
 
@@ -191,26 +192,46 @@ void merge_kernel(const Key* a, std::size_t la, const Key* b, std::size_t lb,
     merge_path_dir<false>(a, la, b, lb, out);
 }
 
+// Backward reads use negative subscripts, which address in one load; the
+// pointer difference `upper_back - t` cost a register and two more
+// instructions a step, spilled a chain and ran ~20% slower.
+inline std::ptrdiff_t back(std::size_t t) {
+  return -static_cast<std::ptrdiff_t>(t);
+}
+
+// The ascending merge of llbs' lower run [0, size/2) and its upper run
+// [size/2, size) read backward, handing emit(position, value) every output.
+template <typename Emit>
+void runs_merge_path(const Key* llbs, std::size_t size, Emit&& emit) {
+  const std::size_t half = size / 2;
+  const Key* upper_back = llbs + size - 1;
+  merge_path([llbs](std::size_t i) { return llbs[i]; }, half,
+             [upper_back](std::size_t t) { return upper_back[back(t)]; },
+             size - half, before<true>, std::forward<Emit>(emit));
+}
+
 // True iff lbs, read in ascending visit order (forward when `Asc`, backward
 // otherwise), equals the ascending merge of llbs' lower run [0, half) and
 // its upper run [half, size) read backward.
 template <bool Asc>
 [[gnu::noinline]] bool lbs_is_runs_merge(const Key* llbs, const Key* lbs,
                                          std::size_t size) {
-  const std::size_t half = size / 2;
-  // Backward reads use negative subscripts, which address in one load; the
-  // pointer difference `upper_back - t` cost a register and two more
-  // instructions a step, spilled a chain and ran ~20% slower.
-  const auto back = [](std::size_t t) { return -static_cast<std::ptrdiff_t>(t); };
-  const Key* upper_back = llbs + size - 1;
   const Key* visit = Asc ? lbs : lbs + size - 1;
   bool differ = false;
-  merge_path([llbs](std::size_t i) { return llbs[i]; }, half,
-             [&](std::size_t t) { return upper_back[back(t)]; }, size - half,
-             before<true>, [&](std::size_t o, Key v) {
-               differ |= v != (Asc ? visit[o] : visit[back(o)]);
-             });
+  runs_merge_path(llbs, size, [&](std::size_t o, Key v) {
+    differ |= v != (Asc ? visit[o] : visit[back(o)]);
+  });
   return !differ;
+}
+
+// The same merge written into out, forward when `Asc`, backward otherwise.
+template <bool Asc>
+[[gnu::noinline]] void runs_merge_into(const Key* llbs, std::size_t size,
+                                       Key* out) {
+  Key* visit = Asc ? out : out + size - 1;
+  runs_merge_path(llbs, size, [visit](std::size_t o, Key v) {
+    (Asc ? visit[o] : visit[back(o)]) = v;
+  });
 }
 
 // Φ_F through the merge path.  When llbs' lower run is non-decreasing and
@@ -294,6 +315,13 @@ bool is_runs_merge(std::span<const Key> llbs, std::span<const Key> lbs,
                    bool ascending) {
   return ascending ? lbs_is_runs_merge<true>(llbs.data(), lbs.data(), lbs.size())
                    : lbs_is_runs_merge<false>(llbs.data(), lbs.data(), lbs.size());
+}
+
+void merge_runs(std::span<const Key> runs, std::span<Key> out, bool ascending) {
+  if (ascending)
+    runs_merge_into<true>(runs.data(), runs.size(), out.data());
+  else
+    runs_merge_into<false>(runs.data(), runs.size(), out.data());
 }
 
 namespace detail {

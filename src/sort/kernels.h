@@ -163,6 +163,14 @@ inline std::int64_t phi_f_scan(std::span<const Key> llbs,
 bool is_runs_merge(std::span<const Key> llbs, std::span<const Key> lbs,
                    bool ascending);
 
+// The merge is_runs_merge compares against, written: `out` (runs.size()
+// keys, aliasing nothing of `runs`) receives the ascending merge of runs'
+// lower run [0, size/2) and its upper run [size/2, size) read backward,
+// forward when `ascending` and backward otherwise, so it ends sorted in that
+// direction.  Requires both runs sorted (lower non-decreasing, upper
+// non-increasing).  The exact oracle (sort/keys.h) merges its parts with it.
+void merge_runs(std::span<const Key> runs, std::span<Key> out, bool ascending);
+
 inline void merge(std::span<const Key> a, std::span<const Key> b,
                   bool ascending, std::span<Key> out, Proven proven = {}) {
   table().merge(a.data(), a.size(), b.data(), b.size(), ascending, out.data(),

@@ -188,10 +188,13 @@ sim::SimTask verify_host(sim::HostCtx& host,
   }
   if (ok) {
     // Theorem 1, part 1: output is a permutation of the input.  Matching the
-    // two lists is equivalent to finding the permutation: O(K·log K).
+    // two lists is equivalent to finding the permutation: O(K·log K).  A
+    // non-decreasing permutation of the input is the input sorted, so one
+    // oracle call decides both parts in wall clock; the ticks stay the
+    // paper's.
     const double k = static_cast<double>(total);
     host.charge(cfg.cost.host_cmp * (k * std::log2(std::max(k, 2.0)) + k));
-    ok = is_permutation_of(sorted, initial);
+    ok = is_sort_of(sorted, initial);
   }
 
   if (!ok)

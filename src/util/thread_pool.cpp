@@ -10,6 +10,12 @@
 
 namespace aoft::util {
 
+namespace {
+thread_local bool t_on_worker = false;
+}  // namespace
+
+bool ThreadPool::on_worker() { return t_on_worker; }
+
 int ThreadPool::resolve(int jobs) {
   if (jobs > 0) return jobs;
   // hardware_concurrency() counts every CPU on the host, including those a
@@ -46,6 +52,7 @@ void ThreadPool::submit(std::function<void()> job) {
 }
 
 void ThreadPool::worker_loop() {
+  t_on_worker = true;
   for (;;) {
     std::function<void()> job;
     {

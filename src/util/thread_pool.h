@@ -56,6 +56,11 @@ class ThreadPool {
   // the hardware concurrency), anything else is taken verbatim.
   static int resolve(int jobs);
 
+  // True on a thread some pool runs its jobs on.  Work that would start
+  // threads of its own (the exact oracle, sort/keys.h) stays serial there:
+  // the pool already keeps every CPU busy.
+  static bool on_worker();
+
  private:
   void worker_loop();
 
