@@ -108,8 +108,7 @@ bool is_sort_of(std::span<const Key> claimed, std::span<const Key> input,
   if (claimed.size() != input.size()) return false;
   parts = cut_parts(parts, input.size());
   if (parts <= 1) {
-    std::vector<Key> sorted(input.begin(), input.end());
-    blockops::sort_dir(sorted, true);
+    const sim::KeyBuf sorted = sorted_ascending(input, 1);
     return std::equal(sorted.begin(), sorted.end(), claimed.begin());
   }
   Buffers b(input.size());
